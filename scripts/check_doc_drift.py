@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift guard: fail CI when the normative docs fall behind the code.
 
-Three cross-checks, all exact:
+Four cross-checks, all exact:
 
 1. docs/WIRE_PROTOCOL.md's message-type table vs the MsgType enum in
    src/disttrack/sim/wire.h — same names, same values, nothing missing
@@ -19,6 +19,12 @@ Three cross-checks, all exact:
    Coordinator::RunUntilShutdown, and the site main +
    SiteRuntime::Run, must equal the documented (code, binary) rows
    ("both" rows must be reachable from both binaries).
+
+4. Source paths named in docs/*.md and README.md vs the tree — every
+   C++ file name a doc cites (`sim/online.h`, `coordinator.h/.cc`,
+   `tests/service_session_test.cc`) must exist, either from the repo
+   root or as the tail of a file path under src/. `<system>` headers are
+   not source paths.
 
 No dependencies beyond the standard library; run from anywhere:
 
@@ -235,6 +241,39 @@ def check_exit_codes():
                  f"from the exit-code table")
 
 
+SOURCE_DOCS = (README, *sorted((ROOT / "docs").glob("*.md")))
+# A C++ source path as docs write it: `dir/name.h`, `name.cc:126`, or the
+# `name.h/.cc` pair shorthand. Not preceded by `<` (system headers) or by
+# a path character (the match must start at the path's first segment).
+SOURCE_EXT = r"(?:h|hpp|cc|cpp)"
+SOURCE_PATH_RE = re.compile(
+    rf"(?<![<\w./-])((?:[\w-]+/)*[\w-]+)\.({SOURCE_EXT})"
+    rf"((?:/\.{SOURCE_EXT})*)\b"
+)
+
+
+def source_path_names(text):
+    """Every C++ source path a doc names, pair shorthand expanded."""
+    names = set()
+    for stem, ext, pair in SOURCE_PATH_RE.findall(text):
+        names.add(f"{stem}.{ext}")
+        for other in re.findall(r"\.(\w+)", pair):
+            names.add(f"{stem}.{other}")
+    return names
+
+
+def check_source_paths():
+    src_files = [p.relative_to(ROOT).as_posix()
+                 for p in (ROOT / "src").rglob("*") if p.is_file()]
+    for doc in SOURCE_DOCS:
+        for name in sorted(source_path_names(doc.read_text(encoding="utf-8"))):
+            found = ((ROOT / name).is_file() or
+                     any(f.endswith("/" + name) for f in src_files))
+            if not found:
+                fail(f"{doc}: names source path `{name}`, which does not "
+                     f"exist under src/")
+
+
 def run():
     """All checks; prints a report and returns a process exit code."""
     del errors[:]
@@ -247,13 +286,14 @@ def run():
         check_wire_protocol()
         check_delivery_paths()
         check_exit_codes()
+        check_source_paths()
     if errors:
         for msg in errors:
             print(f"doc-drift: {msg}", file=sys.stderr)
         print(f"doc-drift: {len(errors)} error(s)", file=sys.stderr)
         return 1
-    print("doc-drift: wire-protocol table, delivery-paths table, and "
-          "exit-code table all match the source")
+    print("doc-drift: wire-protocol table, delivery-paths table, "
+          "exit-code table, and doc source paths all match the source")
     return 0
 
 

@@ -272,6 +272,45 @@ uint64_t RandomizedCountTracker::NextEventGap(int site) const {
                   s.skip.pending_skips() + 1);
 }
 
+template <typename OnEvent>
+uint64_t RandomizedCountTracker::SiteRun(int site, uint64_t count,
+                                         OnEvent&& on_event) {
+  SiteState& s = sites_[static_cast<size_t>(site)];
+  uint64_t left = count;
+  while (left > 0) {
+    // Arrivals before the next event are coin failures that cross no
+    // coarse threshold; the event arrival itself belongs to on_event.
+    uint64_t prefix = std::min(left, NextEventGap(site) - 1);
+    s.count += prefix;
+    s.skip.ConsumeFailures(prefix);
+    coarse_->AdvanceLocalNoReport(site, prefix);
+    left -= prefix;
+    if (left == 0) break;
+    --left;
+    if (!on_event(site)) break;
+  }
+  return count - left;
+}
+
+uint64_t RandomizedCountTracker::ReplayCrashRun(
+    int site, uint64_t count, const std::function<bool()>& stop) {
+  if (!options_.use_skip_sampling) {
+    // Per-arrival coins: every arrival draws from the RNG, so there is no
+    // eventless stretch to retire in bulk.
+    for (uint64_t i = 0; i < count; ++i) {
+      ReplayCrashArrive(site, nullptr);
+      if (stop && stop()) return i + 1;
+    }
+    return count;
+  }
+  // NextEventGap is re-read after every event: a ritual applied from the
+  // tap inside ReplayCrashArrive redraws the site's skip.
+  return SiteRun(site, count, [&](int event_site) {
+    ReplayCrashArrive(event_site, nullptr);
+    return !(stop && stop());
+  });
+}
+
 void RandomizedCountTracker::RearmSite(int site) {
   countdown_.Arm(site, NextEventGap(site));
 }
@@ -360,25 +399,14 @@ void RandomizedCountTracker::CountdownSites(const uint16_t* sites,
 // broadcast condition provably cannot trip), so the permutation is
 // bit-invisible.
 void RandomizedCountTracker::GroupedRun(int site, uint64_t count) {
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  while (count > 0) {
-    uint64_t gap = NextEventGap(site);
-    if (count < gap) {
-      s.count += count;
-      s.skip.ConsumeFailures(count);
-      coarse_->ArriveRun(site, count);
-      return;
-    }
-    uint64_t prefix = gap - 1;
-    s.count += prefix;
-    s.skip.ConsumeFailures(prefix);
-    coarse_->ArriveRun(site, prefix);
-    count -= gap;
+  SiteRun(site, count, [this](int event_site) {
     // The event arrival, in scalar order: coarse first, then the coin.
+    SiteState& s = sites_[static_cast<size_t>(event_site)];
     ++s.count;
-    coarse_->Arrive(site);
-    if (s.skip.Next(&s.rng)) Report(site);
-  }
+    coarse_->Arrive(event_site);
+    if (s.skip.Next(&s.rng)) Report(event_site);
+    return true;
+  });
 }
 
 void RandomizedCountTracker::ArriveBatch(const sim::Arrival* arrivals,
@@ -471,24 +499,11 @@ void RandomizedCountTracker::ShardEpochBegin(uint64_t arrivals_in_epoch) {
 // validated by SiteGrouper (CheckSiteInRange aborts) before the epoch
 // was partitioned onto workers; the worker replays a pre-checked span.
 void RandomizedCountTracker::ShardArriveRun(int site, uint64_t count) {
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  ShardSink& sink = shard_sinks_[static_cast<size_t>(site)];
-  while (count > 0) {
-    uint64_t gap = NextEventGap(site);
-    if (count < gap) {
-      s.count += count;
-      s.skip.ConsumeFailures(count);
-      coarse_->AdvanceLocalNoReport(site, count);
-      return;
-    }
-    uint64_t prefix = gap - 1;
-    s.count += prefix;
-    s.skip.ConsumeFailures(prefix);
-    coarse_->AdvanceLocalNoReport(site, prefix);
-    count -= gap;
-    // The event arrival.
+  SiteRun(site, count, [this](int event_site) {
+    SiteState& s = sites_[static_cast<size_t>(event_site)];
+    ShardSink& sink = shard_sinks_[static_cast<size_t>(event_site)];
     ++s.count;
-    if (uint64_t delta = coarse_->ArriveLocal(site)) {
+    if (uint64_t delta = coarse_->ArriveLocal(event_site)) {
       sink.coarse_deltas.push_back(delta);
     }
     if (s.skip.Next(&s.rng)) {
@@ -503,7 +518,8 @@ void RandomizedCountTracker::ShardArriveRun(int site, uint64_t count) {
       s.reported = s.count;
       sink.reported_sum_delta += static_cast<int64_t>(s.count);
     }
-  }
+    return true;
+  });
 }
 
 void RandomizedCountTracker::ShardEpochEnd() {

@@ -31,6 +31,7 @@
 #define DISTTRACK_COUNT_RANDOMIZED_COUNT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -148,6 +149,18 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   /// replayed at the exact point the original run performed it.
   void ReplayCrashArrive(int site, const uint64_t* mid_ritual_n_bar);
 
+  /// Re-delivers the site's next `count` arrivals in one call, with no
+  /// mid-run broadcast journaled: the frame stream and the site state
+  /// equal `count` ReplayCrashArrive(site, nullptr) calls. Eventless
+  /// stretches retire in bulk; each event arrival (coarse report or coin
+  /// success) takes the scalar ReplayCrashArrive path, so a ritual the tap
+  /// applies reentrantly lands at the same program point. `stop`, when
+  /// set, is polled after every event arrival (the only arrivals that
+  /// reach the tap); the run ends after the first one for which it
+  /// returns true. Returns the arrivals absorbed.
+  uint64_t ReplayCrashRun(int site, uint64_t count,
+                          const std::function<bool()>& stop = nullptr);
+
   /// Replays the per-site half of a round ritual that fired between two
   /// of the site's arrivals (another site triggered it).
   void ReplayCrashRitual(int site, uint64_t n_bar);
@@ -200,6 +213,13 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   // (RearmSite) and the shard run loop, so the two delivery paths cannot
   // drift apart.
   uint64_t NextEventGap(int site) const;
+  // The per-site run loop shared by GroupedRun, ShardArriveRun and
+  // ReplayCrashRun: retires the eventless prefix before each event in
+  // bulk (count, coin failures, coarse count), then hands the event
+  // arrival, untouched, to `on_event(site)`; a false return ends the run
+  // after that arrival. Returns the arrivals absorbed.
+  template <typename OnEvent>
+  uint64_t SiteRun(int site, uint64_t count, OnEvent&& on_event);
   void RearmSite(int site);
   void RearmAll();
   void SyncEventless(int site, uint64_t consumed);

@@ -76,7 +76,7 @@ uint64_t Coordinator::site_position(int site) const {
 
 bool Coordinator::AllSitesDone() const {
   for (const Session& s : sessions_) {
-    if (!s.done) return false;
+    if (!Settled(s)) return false;
   }
   return true;
 }
@@ -123,8 +123,10 @@ void Coordinator::StageDown(int site, Message msg) {
 
 void Coordinator::TryWrite(Conn* conn) {
   while (conn->pending() > 0) {
-    ssize_t n = write(conn->fd, conn->out.data() + conn->out_off,
-                      conn->pending());
+    // MSG_NOSIGNAL: a peer that died with output pending must cost its
+    // connection (EPIPE / ECONNRESET close it below), not the daemon.
+    ssize_t n = send(conn->fd, conn->out.data() + conn->out_off,
+                     conn->pending(), MSG_NOSIGNAL);
     if (n > 0) {
       stats_.bytes_out += static_cast<uint64_t>(n);
       conn->out_off += static_cast<size_t>(n);
@@ -309,6 +311,7 @@ void Coordinator::ApplyDelivered(int site, Message msg, uint64_t up_seq) {
       break;
     case MsgType::kRitualAck:
       stats_.rituals_acked += 1;
+      s.rituals_acked += 1;
       break;
     default:
       break;  // estimator frames: replica apply above was the whole job
@@ -388,7 +391,7 @@ sim::wire::Message Coordinator::Query(const Message& query) const {
     case kQueryStats: {
       uint64_t sites_done = 0, dup_frames = 0;
       for (const Session& s : sessions_) {
-        if (s.done) ++sites_done;
+        if (Settled(s)) ++sites_done;
         dup_frames += s.up.duplicates();
       }
       uint64_t pending_out = PendingOutBytes();

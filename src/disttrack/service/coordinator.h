@@ -92,6 +92,8 @@ class Coordinator {
   int RunUntilShutdown();
 
   bool ShutdownComplete() const;
+  /// True once every site is settled (see Settled): the stream is over
+  /// and no frame any site still owes can change an answer.
   bool AllSitesDone() const;
   const Stats& stats() const { return stats_; }
   uint64_t site_position(int site) const;
@@ -121,7 +123,8 @@ class Coordinator {
     std::vector<sim::wire::Message> down_journal;  ///< seq i+1 at index i
     uint64_t position = 0;
     bool ever_joined = false;
-    bool done = false;
+    bool done = false;            ///< end-of-stream kGrantRequest delivered
+    uint64_t rituals_acked = 0;   ///< kRitualAck frames delivered
   };
 
   struct GrantEntry {
@@ -145,6 +148,14 @@ class Coordinator {
   void StageDown(int site, sim::wire::Message msg);
   void AppendOut(Conn* conn, const std::vector<uint8_t>& bytes);
   void AppendUnseq(Conn* conn, const sim::wire::Message& msg);
+  /// A site has ended its stream and acked every broadcast. Each
+  /// broadcast goes to every site, and a site stages the correction
+  /// frames of its ritual before the kRitualAck, so a settled site has
+  /// delivered all it will ever send. Stream end alone is not enough: a
+  /// site that finished early still answers later broadcasts.
+  bool Settled(const Session& s) const {
+    return s.done && s.rituals_acked == stats_.broadcasts;
+  }
   void TryWrite(Conn* conn);
   void CloseConn(Conn* conn);
   uint64_t PendingOutBytes() const;

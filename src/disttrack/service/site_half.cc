@@ -9,6 +9,20 @@ namespace service {
 
 namespace {
 
+// The keyed halves' run: one scalar replay arrival per key. Any arrival
+// may emit a frame, so `stop` is polled after each.
+template <typename Tracker>
+uint64_t KeyedRun(Tracker* tracker, const ServiceOptions& options, int site,
+                  uint64_t first_index, uint64_t count,
+                  const std::function<bool()>& stop) {
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t key = WorkloadKey(options, site, first_index + i);
+    tracker->ReplayCrashArrive(site, key, nullptr);
+    if (stop && stop()) return i + 1;
+  }
+  return count;
+}
+
 class CountHalf : public SiteHalf {
  public:
   CountHalf(const ServiceOptions& options, int site)
@@ -18,8 +32,9 @@ class CountHalf : public SiteHalf {
   void set_wire_tap(sim::wire::WireTap* tap) override {
     tracker_.set_wire_tap(tap);
   }
-  void Arrive(uint64_t /*key*/) override {
-    tracker_.ReplayCrashArrive(site_, nullptr);
+  uint64_t ArriveRun(uint64_t /*first_index*/, uint64_t count,
+                     const std::function<bool()>& stop) override {
+    return tracker_.ReplayCrashRun(site_, count, stop);
   }
   void ApplyRitual(uint64_t n_bar) override {
     tracker_.ReplayCrashRitual(site_, n_bar);
@@ -42,14 +57,15 @@ class CountHalf : public SiteHalf {
 class FrequencyHalf : public SiteHalf {
  public:
   FrequencyHalf(const ServiceOptions& options, int site)
-      : tracker_(options.FrequencyOptions()), site_(site) {
+      : options_(options), tracker_(options.FrequencyOptions()), site_(site) {
     tracker_.BeginCrashReplay(site_);
   }
   void set_wire_tap(sim::wire::WireTap* tap) override {
     tracker_.set_wire_tap(tap);
   }
-  void Arrive(uint64_t key) override {
-    tracker_.ReplayCrashArrive(site_, key, nullptr);
+  uint64_t ArriveRun(uint64_t first_index, uint64_t count,
+                     const std::function<bool()>& stop) override {
+    return KeyedRun(&tracker_, options_, site_, first_index, count, stop);
   }
   void ApplyRitual(uint64_t n_bar) override {
     tracker_.ReplayCrashRitual(site_, n_bar);
@@ -65,6 +81,7 @@ class FrequencyHalf : public SiteHalf {
   }
 
  private:
+  ServiceOptions options_;
   frequency::RandomizedFrequencyTracker tracker_;
   int site_;
 };
@@ -72,15 +89,16 @@ class FrequencyHalf : public SiteHalf {
 class RankHalf : public SiteHalf {
  public:
   RankHalf(const ServiceOptions& options, int site)
-      : tracker_(options.RankOptions()), site_(site) {
+      : options_(options), tracker_(options.RankOptions()), site_(site) {
     tracker_.set_detached_replay(true);
     tracker_.BeginCrashReplay(site_);
   }
   void set_wire_tap(sim::wire::WireTap* tap) override {
     tracker_.set_wire_tap(tap);
   }
-  void Arrive(uint64_t key) override {
-    tracker_.ReplayCrashArrive(site_, key, nullptr);
+  uint64_t ArriveRun(uint64_t first_index, uint64_t count,
+                     const std::function<bool()>& stop) override {
+    return KeyedRun(&tracker_, options_, site_, first_index, count, stop);
   }
   void ApplyRitual(uint64_t n_bar) override {
     tracker_.ReplayCrashRitual(site_, n_bar);
@@ -96,6 +114,7 @@ class RankHalf : public SiteHalf {
   }
 
  private:
+  ServiceOptions options_;
   rank::RandomizedRankTracker tracker_;
   int site_;
 };

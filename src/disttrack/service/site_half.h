@@ -7,12 +7,14 @@
 // re-emits every protocol frame through the wire tap, while every
 // coordinator-side effect (n', rounds, meter, estimator aggregates) is
 // suppressed — those live in the coordinator's replicas (sim/replica.h).
-// Round rituals arrive from outside as ApplyRitual calls, either
-// mid-arrival (from inside the tap, for the site's own triggering report
-// — the trackers emit the coarse report *before* consuming any
-// p-dependent randomness, so a reentrant ritual lands at the exact
-// program point the serial execution performs it) or between arrivals
-// (another site triggered the round).
+// Arrivals come in granted runs (ArriveRun): count retires the eventless
+// stretches between coin successes and coarse reports in bulk, keyed
+// trackers run one ReplayCrashArrive per arrival. Round rituals arrive
+// from outside as ApplyRitual calls, either mid-arrival (from inside the
+// tap, for the site's own triggering report — the trackers emit the
+// coarse report *before* consuming any p-dependent randomness, so a
+// reentrant ritual lands at the exact program point the serial execution
+// performs it) or between runs (another site triggered the round).
 //
 // This is the same seam the fault harness replays crashes through, which
 // is what makes the distributed execution comparable to the serial
@@ -23,6 +25,7 @@
 #define DISTTRACK_SERVICE_SITE_HALF_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -45,8 +48,14 @@ class SiteHalf {
   /// emitted from inside ApplyRitual (thinning corrections).
   virtual void set_wire_tap(sim::wire::WireTap* tap) = 0;
 
-  /// One arrival of this site's stream (key: item / value / ignored).
-  virtual void Arrive(uint64_t key) = 0;
+  /// Absorbs one granted run: arrivals first_index .. first_index +
+  /// count - 1 of this site's shard, in order (keyed trackers draw their
+  /// items / values from WorkloadKey; count ignores keys). `stop` is
+  /// polled at least after every arrival that reached the wire tap, the
+  /// only place it can change; the run ends after the first polled
+  /// arrival for which it returns true. Returns the arrivals absorbed.
+  virtual uint64_t ArriveRun(uint64_t first_index, uint64_t count,
+                             const std::function<bool()>& stop) = 0;
 
   /// Per-site half of the round ritual for a broadcast carrying n̄.
   /// Callable between arrivals or reentrantly from the tap's

@@ -1,5 +1,6 @@
 #include "disttrack/service/site_runtime.h"
 
+#include <errno.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -48,7 +49,9 @@ bool SiteRuntime::Flush() {
   }
   if (outbuf_.empty()) return true;
   if (!WriteAll(fd_, outbuf_.data(), outbuf_.size())) {
-    Fail("write to coordinator failed");
+    Fail(errno == EPIPE || errno == ECONNRESET
+             ? "coordinator closed the connection"
+             : "write to coordinator failed");
     return false;
   }
   outbuf_.clear();
@@ -283,16 +286,22 @@ int SiteRuntime::Run() {
     uint64_t granted = pending_grants_.front();
     pending_grants_.pop_front();
 
-    for (uint64_t i = 0; i < granted && !shutdown_ && !failed_; ++i) {
-      if (config_.crash_after != 0 &&
-          arrivals_in_process_ >= config_.crash_after) {
-        _exit(7);  // hard crash: no flush, no snapshot, no goodbye
-      }
-      half_->Arrive(WorkloadKey(config_.options, config_.site, position_));
-      ++position_;
-      ++arrivals_in_process_;
+    // The whole grant goes to the half in one call. An armed crash splits
+    // the run at the crash index: the arrivals before it are absorbed,
+    // then the process dies before the next one.
+    uint64_t run = granted;
+    bool crash = false;
+    if (config_.crash_after != 0 &&
+        config_.crash_after - arrivals_in_process_ < granted) {
+      run = config_.crash_after - arrivals_in_process_;
+      crash = true;
     }
+    uint64_t absorbed = half_->ArriveRun(
+        position_, run, [this] { return shutdown_ || failed_; });
+    position_ += absorbed;
+    arrivals_in_process_ += absorbed;
     if (shutdown_ || failed_) break;
+    if (crash) _exit(7);  // hard crash: no flush, no snapshot, no goodbye
     Message done;
     done.type = MsgType::kGrantDone;
     done.site = config_.site;

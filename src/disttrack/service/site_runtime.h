@@ -3,10 +3,10 @@
 //
 // A SiteRuntime connects to the coordinator daemon, joins (or resumes)
 // its session, and then drives its shard of the synthetic workload
-// through a SiteHalf. Every frame the tracker emits goes through a
-// ReliableSender (uplink sequence numbers + dedup on reconnect); every
-// downlink frame goes through a ReliableReceiver. The socket is blocking
-// — a site has exactly one thing to wait for at a time:
+// through a SiteHalf, one ArriveRun call per granted run. Every frame
+// the tracker emits goes through a ReliableSender (uplink sequence
+// numbers + dedup on reconnect); every downlink frame goes through a
+// ReliableReceiver. The socket is blocking — a site has exactly one thing to wait for at a time:
 //
 //   * a kGrant before it may run (lockstep admission),
 //   * the kBroadcast / kNoBroadcast decision for a coarse report it just

@@ -190,7 +190,9 @@ bool SetNonBlocking(int fd, bool nonblocking) {
 bool WriteAll(int fd, const uint8_t* data, size_t size) {
   size_t sent = 0;
   while (sent < size) {
-    ssize_t n = write(fd, data + sent, size - sent);
+    // MSG_NOSIGNAL: a dead peer surfaces as EPIPE / ECONNRESET (session
+    // down, false below) instead of a process-killing SIGPIPE.
+    ssize_t n = send(fd, data + sent, size - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;

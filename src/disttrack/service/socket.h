@@ -38,7 +38,9 @@ int Dial(const Endpoint& ep, int timeout_ms, std::string* error);
 /// O_NONBLOCK toggle; true on success.
 bool SetNonBlocking(int fd, bool nonblocking);
 
-/// Blocking write of the whole buffer (EINTR-safe). False on error.
+/// Blocking write of the whole buffer to a socket (EINTR-safe). False on
+/// error, including a peer that has gone away (EPIPE / ECONNRESET): the
+/// write never raises SIGPIPE.
 bool WriteAll(int fd, const uint8_t* data, size_t size);
 
 /// One read() of at most `cap` bytes (EINTR-safe). Returns bytes read,

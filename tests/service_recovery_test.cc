@@ -11,6 +11,7 @@
 //
 // Fork-based like service_session_test.cc; skipped under TSan.
 
+#include <errno.h>
 #include <signal.h>
 #include <stdlib.h>
 #include <sys/socket.h>
@@ -18,6 +19,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "disttrack/service/coordinator.h"
 #include "disttrack/service/options.h"
 #include "disttrack/service/site_runtime.h"
+#include "disttrack/service/socket.h"
 #include "disttrack/sim/wire.h"
 
 namespace disttrack {
@@ -145,23 +148,52 @@ Message Ask(const Coordinator& coordinator, uint64_t kind, uint64_t b = 0) {
   return coordinator.Query(query);
 }
 
-/// Runs a 4-site count fleet with site 2 crashing after `crash_after`
-/// arrivals, recovers it, and pins bit-identity + paper-ledger equality.
-void RunCountCrash(uint64_t crash_after, uint64_t snapshot_every) {
+ServiceOptions SmallCountFleet(uint64_t snapshot_every) {
   ServiceOptions options;
   options.tracker = TrackerKind::kCount;
   options.num_sites = 4;
   options.total_arrivals = 6000;
   options.grant_max = 256;
   options.snapshot_every = snapshot_every;
+  return options;
+}
+
+/// Collects the shard indices of `site`'s event arrivals (those that emit
+/// a coarse or coin report) in a serial replay; `*position` is the
+/// replay's running index into that site's shard.
+class EventIndexTap : public sim::wire::WireTap {
+ public:
+  EventIndexTap(int site, const uint64_t* position)
+      : site_(site), position_(position) {}
+  void OnMessage(Message&& msg) override {
+    if (msg.site == site_ && (msg.type == MsgType::kCoarseReport ||
+                              msg.type == MsgType::kCoinReport)) {
+      events_.insert(*position_);
+    }
+  }
+  bool IsEvent(uint64_t index) const { return events_.count(index) != 0; }
+
+ private:
+  int site_;
+  const uint64_t* position_;
+  std::set<uint64_t> events_;
+};
+
+/// Runs a 4-site count fleet with site 2 crashing after `crash_after`
+/// arrivals, recovers it, and pins bit-identity + paper-ledger equality.
+/// `eventless_crash` also asserts that the crash split an eventless
+/// stretch: neither the last arrival before it nor the first after it
+/// reported anything in the serial replay.
+void RunCountCrash(const ServiceOptions& options, uint64_t crash_after,
+                   bool eventless_crash = false) {
   RecoveryFleet fleet(options);
   for (int site = 0; site < 4; ++site) {
     fleet.StartSite(site, site == 2 ? crash_after : 0);
   }
   fleet.AwaitCrash(2);
   fleet.StartSite(2);  // replacement: resumes from snapshot if present
-  ASSERT_TRUE(
-      fleet.PumpUntil([&] { return fleet.coordinator().AllSitesDone(); }));
+  ASSERT_TRUE(fleet.PumpUntil(
+      [&] { return fleet.coordinator().AllSitesDone(); }, 200000));
 
   const Coordinator::Stats& stats = fleet.coordinator().stats();
   EXPECT_EQ(stats.rejoins, 1u);
@@ -171,15 +203,25 @@ void RunCountCrash(uint64_t crash_after, uint64_t snapshot_every) {
 
   Message journal = Ask(fleet.coordinator(), kQueryJournal);
   count::RandomizedCountTracker serial(options.CountOptions());
+  std::vector<uint64_t> position(4, 0);
+  EventIndexTap events(2, &position[2]);
+  serial.set_wire_tap(&events);
   uint64_t replayed = 0;
   for (size_t i = 0; i + 1 < journal.values.size(); i += 2) {
+    int site = static_cast<int>(journal.values[i]);
     for (uint64_t j = 0; j < journal.values[i + 1]; ++j) {
-      serial.Arrive(static_cast<int>(journal.values[i]));
+      serial.Arrive(site);
+      ++position[static_cast<size_t>(site)];
       ++replayed;
     }
   }
   EXPECT_EQ(replayed, options.total_arrivals)
       << "grant journal lost or double-granted arrivals across the crash";
+  if (eventless_crash) {
+    EXPECT_NE(crash_after % options.grant_max, 0u);
+    EXPECT_FALSE(events.IsEvent(crash_after - 1));
+    EXPECT_FALSE(events.IsEvent(crash_after));
+  }
 
   // No double counting, to the message and to the word: replayed frames
   // were deduplicated, never re-charged.
@@ -196,14 +238,30 @@ TEST(ServiceRecovery, CrashBeforeFirstSnapshotReplaysFromZero) {
   if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
   // Crash at 300 arrivals, snapshots every 512 (none taken yet): the
   // replacement replays the whole shard; dedup swallows the prefix.
-  RunCountCrash(/*crash_after=*/300, /*snapshot_every=*/512);
+  RunCountCrash(SmallCountFleet(/*snapshot_every=*/512), /*crash_after=*/300);
 }
 
 TEST(ServiceRecovery, CrashAfterSnapshotResumesFromIt) {
   if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
   // Crash at 700 arrivals with a snapshot at the 512-boundary: the
   // replacement restores it and replays only the tail.
-  RunCountCrash(/*crash_after=*/700, /*snapshot_every=*/256);
+  RunCountCrash(SmallCountFleet(/*snapshot_every=*/256), /*crash_after=*/700);
+}
+
+TEST(ServiceRecovery, CrashInsideAnEventlessStretchSplitsTheRun) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  // When site 2 reaches 70K arrivals, n̄ >= 70K and 1/p = ⌊n̄/80⌋₂ is at
+  // least 512, so a grant of 2048 is mostly bulk-retired coin failures. The crash index is no multiple of the
+  // grant and lands between two eventless arrivals: the site feed must
+  // split that bulk stretch exactly, and the replacement resumes from a
+  // mid-shard snapshot.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kCount;
+  options.num_sites = 4;
+  options.total_arrivals = 400000;
+  options.grant_max = 2048;
+  options.snapshot_every = 16384;
+  RunCountCrash(options, /*crash_after=*/70001, /*eventless_crash=*/true);
 }
 
 TEST(ServiceRecovery, RankSiteRecoversMidRun) {
@@ -243,6 +301,86 @@ TEST(ServiceRecovery, RankSiteRecoversMidRun) {
             serial.meter().TotalMessages());
   EXPECT_EQ(fleet.coordinator().stats().paper_words,
             serial.meter().TotalWords());
+}
+
+// The coordinator under the default SIGPIPE action, as a daemon runs
+// when nothing ignores the signal for it: a joined site stops reading
+// while its decisions keep coming, so the coordinator's socket buffer
+// fills and output stays pending in the connection; then the site dies.
+// The next write must cost that connection, not the process. Exits 0 on
+// success, nonzero when the setup could not reach the pending state.
+void CoordinatorOutlivesSiteWithPendingOutput() {
+  signal(SIGPIPE, SIG_DFL);
+  ServiceOptions options;
+  options.tracker = TrackerKind::kCount;
+  options.num_sites = 1;
+  Coordinator coordinator(options);
+  // Unsent output held in the coordinator's connections (stats slot 8).
+  auto pending = [&] { return Ask(coordinator, kQueryStats).values[8]; };
+  int fds[2];
+  if (socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) _exit(2);
+  int small = 4096;  // a small send buffer fills after a few hundred frames
+  setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  coordinator.AdoptConnection(fds[0]);
+  SetNonBlocking(fds[1], true);
+
+  std::vector<uint8_t> out;
+  Message join;
+  join.type = MsgType::kJoin;
+  join.site = 0;
+  join.b = options.Hash();
+  sim::wire::EncodeFrame(join, 0, &out);
+  Message hello;
+  hello.type = MsgType::kHello;
+  hello.site = 0;
+  hello.a = 1;
+  sim::wire::EncodeFrame(hello, 0, &out);
+  // Each coarse report draws a decision frame the site never reads.
+  uint64_t seq = 0;
+  for (int round = 0; round < 100000; ++round) {
+    if (pending() > 0) break;
+    for (int i = 0; i < 16; ++i) {
+      Message report;
+      report.type = MsgType::kCoarseReport;
+      report.site = 0;
+      report.a = 1;
+      report.paper_words = 1;
+      sim::wire::EncodeFrame(report, ++seq, &out);
+    }
+    ssize_t n = write(fds[1], out.data(), out.size());
+    if (n > 0) out.erase(out.begin(), out.begin() + n);
+    if (coordinator.PollOnce(0) < 0) _exit(3);
+  }
+  if (pending() == 0) _exit(4);
+
+  close(fds[1]);  // the site dies with the coordinator's output pending
+  for (int i = 0; i < 10 && pending() > 0; ++i) {
+    if (coordinator.PollOnce(5) < 0) _exit(5);
+  }
+  // EPIPE / ECONNRESET closed the session and dropped its output.
+  _exit(pending() == 0 ? 0 : 6);
+}
+
+TEST(ServiceRecovery, SiteDeathWithPendingOutputSparesTheCoordinator) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  // A death-test child, so a SIGPIPE fails this test, not the binary.
+  EXPECT_EXIT(CoordinatorOutlivesSiteWithPendingOutput(),
+              ::testing::ExitedWithCode(0), "");
+}
+
+TEST(ServiceRecovery, WriteToADeadPeerFailsWithoutSigpipe) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  EXPECT_EXIT(
+      {
+        signal(SIGPIPE, SIG_DFL);
+        int fds[2];
+        if (socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) _exit(2);
+        close(fds[1]);
+        uint8_t byte = 0;
+        bool ok = WriteAll(fds[0], &byte, 1);
+        _exit(!ok && errno == EPIPE ? 0 : 3);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

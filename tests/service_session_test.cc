@@ -163,29 +163,22 @@ std::vector<uint64_t> StatsVector(const Coordinator& coordinator) {
   return Ask(coordinator, kQueryStats).values;
 }
 
-TEST(ServiceSession, LockstepCountFleetMatchesSerialBitForBit) {
-  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
-  ServiceOptions options;
-  options.tracker = TrackerKind::kCount;
-  options.num_sites = 4;
-  options.total_arrivals = 6000;
-  options.grant_max = 256;
+/// Runs a lockstep count fleet to completion and pins it to the serial
+/// replay of the coordinator's grant journal: same arrival order, same
+/// per-site streams, so estimates and both ledgers must agree exactly.
+void ExpectLockstepCountMatchesSerial(const ServiceOptions& options) {
   Fleet fleet(options);
   for (int site = 0; site < options.num_sites; ++site) fleet.StartSite(site);
-  ASSERT_TRUE(
-      fleet.PumpUntil([&] { return fleet.coordinator().AllSitesDone(); }));
+  ASSERT_TRUE(fleet.PumpUntil(
+      [&] { return fleet.coordinator().AllSitesDone(); }, 200000));
 
-  // Serial replay of the coordinator's grant journal: same arrival order,
-  // same per-site streams, so everything must agree exactly.
   Message journal = Ask(fleet.coordinator(), kQueryJournal);
   count::RandomizedCountTracker serial(options.CountOptions());
-  std::vector<uint64_t> position(4, 0);
   uint64_t replayed = 0;
   for (size_t i = 0; i + 1 < journal.values.size(); i += 2) {
     int site = static_cast<int>(journal.values[i]);
     for (uint64_t j = 0; j < journal.values[i + 1]; ++j) {
       serial.Arrive(site);
-      ++position[static_cast<size_t>(site)];
       ++replayed;
     }
   }
@@ -207,6 +200,30 @@ TEST(ServiceSession, LockstepCountFleetMatchesSerialBitForBit) {
                        << " pending=" << s[8];
 
   fleet.ShutdownAndReap();
+}
+
+TEST(ServiceSession, LockstepCountFleetMatchesSerialBitForBit) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  ServiceOptions options;
+  options.tracker = TrackerKind::kCount;
+  options.num_sites = 4;
+  options.total_arrivals = 6000;
+  options.grant_max = 256;
+  ExpectLockstepCountMatchesSerial(options);
+}
+
+TEST(ServiceSession, BulkLockstepCountFleetMatchesSerialBitForBit) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  // Large enough for the site feed's bulk path to carry the run: at
+  // ε = 0.01, 1/p = ⌊n̄/400⌋₂ climbs past 1000 as n nears 2M, so most of
+  // each 2048-arrival grant is bulk-retired eventless stretches.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kCount;
+  options.num_sites = 4;
+  options.epsilon = 0.01;
+  options.total_arrivals = 2000000;
+  options.grant_max = 2048;
+  ExpectLockstepCountMatchesSerial(options);
 }
 
 TEST(ServiceSession, FrequencyQueriesOverTheFleet) {
@@ -296,6 +313,44 @@ TEST(ServiceSession, MismatchedOptionsHashIsRejected) {
   }
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2);
+}
+
+TEST(ServiceSession, SiteIsDoneOnlyAfterAckingEveryBroadcast) {
+  // A site that has ended its stream still owes the corrections of every
+  // broadcast it has not acked; the fleet must not read as done before
+  // they land, or final answers race them. Driven by hand over raw
+  // frames, so the ordering is exact.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kCount;
+  options.num_sites = 1;
+  Coordinator coordinator(options);
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  coordinator.AdoptConnection(fds[0]);
+  auto send_up = [&](MsgType type, uint64_t seq, uint64_t a) {
+    Message msg;
+    msg.type = type;
+    msg.site = 0;
+    msg.a = a;
+    if (type == MsgType::kJoin) msg.b = options.Hash();
+    if (type == MsgType::kCoarseReport) msg.paper_words = 1;
+    std::vector<uint8_t> frame;
+    sim::wire::EncodeFrame(msg, seq, &frame);
+    ASSERT_TRUE(WriteAll(fds[1], frame.data(), frame.size()));
+    for (int i = 0; i < 5; ++i) coordinator.PollOnce(1);
+  };
+  send_up(MsgType::kJoin, 0, 0);
+  send_up(MsgType::kHello, 0, 1);
+  // The first coarse report always broadcasts.
+  send_up(MsgType::kCoarseReport, 1, 1);
+  ASSERT_EQ(coordinator.stats().broadcasts, 1u);
+  send_up(MsgType::kGrantRequest, 2, 0);  // end of stream
+  EXPECT_FALSE(coordinator.AllSitesDone());
+  EXPECT_EQ(StatsVector(coordinator)[0], 0u);  // sites_done
+  send_up(MsgType::kRitualAck, 3, 1);
+  EXPECT_TRUE(coordinator.AllSitesDone());
+  EXPECT_EQ(StatsVector(coordinator)[0], 1u);
+  close(fds[1]);
 }
 
 }  // namespace

@@ -8,8 +8,12 @@
 //    per-arrival Bernoulli path satisfy the same unbiasedness / coverage
 //    bounds, including on the paper's hard instances (distribution µ and
 //    the Theorem 2.4 adversarial schedule), whose growing streams cross
-//    many p-halving broadcasts.
+//    many p-halving broadcasts;
+//  * the count site's crash-replay run (ReplayCrashRun, the service's
+//    site feed) emits the same frames and ends in the same site state as
+//    one ReplayCrashArrive per arrival, rituals included.
 
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
 #include "disttrack/sim/cluster.h"
+#include "disttrack/sim/wire.h"
 #include "disttrack/stream/hard_instances.h"
 #include "disttrack/stream/workload.h"
 #include "test_util.h"
@@ -297,6 +302,121 @@ TEST(SkipEquivalenceTest, RankCoverageUnderSkewAcrossRounds) {
     EXPECT_GE(CoverageWithin(errors, eps * static_cast<double>(kN)), 0.9)
         << "skip=" << use_skip;
   }
+}
+
+// Site-side frame log of a count site in crash replay. Each coarse report
+// applies the next ritual of a shared n̄ schedule reentrantly from the
+// tap, as the service site does when the coordinator broadcasts on it.
+class ReplayRecorder : public sim::wire::WireTap {
+ public:
+  ReplayRecorder(count::RandomizedCountTracker* tracker, int site)
+      : tracker_(tracker), site_(site) {
+    tracker_->set_wire_tap(this);
+  }
+
+  void OnMessage(sim::wire::Message&& msg) override {
+    frames_.push_back({static_cast<uint64_t>(msg.type),
+                       static_cast<uint64_t>(msg.site), msg.epoch, msg.a});
+    if (msg.type == sim::wire::MsgType::kCoarseReport) Ritual();
+  }
+
+  /// Next ritual of the schedule. n̄ grows by 5/4, so some rituals halve
+  /// p (at ε = 0.01, k = 4, c = 2: 1/p = ⌊n̄/400⌋₂) and some do not.
+  void Ritual() {
+    tracker_->ReplayCrashRitual(site_, n_bar_);
+    n_bar_ += n_bar_ / 4;
+  }
+
+  const std::vector<std::array<uint64_t, 4>>& frames() const {
+    return frames_;
+  }
+
+ private:
+  count::RandomizedCountTracker* tracker_;
+  int site_;
+  uint64_t n_bar_ = 400 * 64;  // the first ritual sets 1/p = 64
+  std::vector<std::array<uint64_t, 4>> frames_;
+};
+
+count::RandomizedCountOptions ReplayRunOptions(bool skip_sampling) {
+  count::RandomizedCountOptions o;
+  o.num_sites = 4;
+  o.epsilon = 0.01;
+  o.seed = 31;
+  o.use_skip_sampling = skip_sampling;
+  return o;
+}
+
+TEST(SkipEquivalenceTest, CountReplayRunMatchesPerArrivalReplay) {
+  const int kSite = 2;
+  const uint64_t kArrivals = 400000;
+  for (bool skip_sampling : {true, false}) {
+    SCOPED_TRACE(skip_sampling ? "skip sampling" : "per-arrival coins");
+    count::RandomizedCountTracker scalar(ReplayRunOptions(skip_sampling));
+    count::RandomizedCountTracker run(ReplayRunOptions(skip_sampling));
+    ReplayRecorder scalar_tap(&scalar, kSite), run_tap(&run, kSite);
+    scalar.BeginCrashReplay(kSite);
+    run.BeginCrashReplay(kSite);
+    // A ritual before any arrival drops p below 1, so the eventless
+    // stretches between coin successes are long from the start.
+    scalar_tap.Ritual();
+    run_tap.Ritual();
+
+    // Ragged runs; every 16th boundary also takes a ritual between runs
+    // (another site's broadcast).
+    uint64_t done = 0, chunk = 1;
+    for (int r = 0; done < kArrivals; ++r) {
+      uint64_t len = std::min(chunk, kArrivals - done);
+      for (uint64_t i = 0; i < len; ++i) {
+        scalar.ReplayCrashArrive(kSite, nullptr);
+      }
+      ASSERT_EQ(run.ReplayCrashRun(kSite, len), len);
+      done += len;
+      chunk = (chunk * 7 + 13) % 5000 + 1;
+      if (r % 16 == 15) {
+        scalar_tap.Ritual();
+        run_tap.Ritual();
+      }
+    }
+
+    // Enough events for the comparison to mean something: a coarse report
+    // per doubling and dozens of coin successes at small p.
+    ASSERT_GT(scalar_tap.frames().size(), 60u);
+    EXPECT_EQ(run_tap.frames(), scalar_tap.frames());
+    std::vector<uint64_t> scalar_state, run_state;
+    scalar.SerializeSiteState(kSite, &scalar_state);
+    run.SerializeSiteState(kSite, &run_state);
+    EXPECT_EQ(run_state, scalar_state);
+  }
+}
+
+TEST(SkipEquivalenceTest, CountReplayRunStopsAfterTheLatchingEvent) {
+  const int kSite = 1;
+  const uint64_t kArrivals = 200000;
+  const size_t kLatchFrame = 40;  // the stop condition trips at this frame
+  count::RandomizedCountTracker scalar(ReplayRunOptions(true));
+  count::RandomizedCountTracker run(ReplayRunOptions(true));
+  ReplayRecorder scalar_tap(&scalar, kSite), run_tap(&run, kSite);
+  scalar.BeginCrashReplay(kSite);
+  run.BeginCrashReplay(kSite);
+  scalar_tap.Ritual();
+  run_tap.Ritual();
+
+  uint64_t scalar_absorbed = 0;
+  while (scalar_tap.frames().size() < kLatchFrame) {
+    ASSERT_LT(scalar_absorbed, kArrivals) << "too few events to latch";
+    scalar.ReplayCrashArrive(kSite, nullptr);
+    ++scalar_absorbed;
+  }
+  uint64_t absorbed = run.ReplayCrashRun(kSite, kArrivals, [&] {
+    return run_tap.frames().size() >= kLatchFrame;
+  });
+  EXPECT_EQ(absorbed, scalar_absorbed);
+  EXPECT_EQ(run_tap.frames(), scalar_tap.frames());
+  std::vector<uint64_t> scalar_state, run_state;
+  scalar.SerializeSiteState(kSite, &scalar_state);
+  run.SerializeSiteState(kSite, &run_state);
+  EXPECT_EQ(run_state, scalar_state);
 }
 
 }  // namespace
