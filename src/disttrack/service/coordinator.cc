@@ -31,7 +31,8 @@ uint64_t Bits(double d) {
 Coordinator::Coordinator(const ServiceOptions& options)
     : options_(options),
       options_hash_(options.Hash()),
-      sessions_(static_cast<size_t>(options.num_sites)) {
+      sessions_(static_cast<size_t>(options.num_sites)),
+      granted_(static_cast<size_t>(options.num_sites), 0) {
   switch (options_.tracker) {
     case TrackerKind::kCount:
       count_replica_ =
@@ -122,6 +123,20 @@ void Coordinator::StageDown(int site, Message msg) {
 }
 
 void Coordinator::TryWrite(Conn* conn) {
+  // The cumulative uplink ack rides on the next write to the site rather
+  // than costing a send (and a wake-up of a site parked on its grant) of
+  // its own; acks only let the site trim its send journal.
+  if (conn->site >= 0 && conn->pending() > 0) {
+    const Session& s = sessions_[static_cast<size_t>(conn->site)];
+    if (s.conn == conn && s.up.watermark() != conn->acked) {
+      Message ack;
+      ack.type = MsgType::kAck;
+      ack.site = conn->site;
+      ack.a = s.up.watermark();
+      AppendUnseq(conn, ack);
+      conn->acked = ack.a;
+    }
+  }
   while (conn->pending() > 0) {
     // MSG_NOSIGNAL: a peer that died with output pending must cost its
     // connection (EPIPE / ECONNRESET close it below), not the daemon.
@@ -199,6 +214,7 @@ void Coordinator::FinishJoin(Conn* conn, const Message& join,
   }
 
   conn->site = site;
+  conn->acked = ack.b;
   s->conn = conn;
   if (s->ever_joined) stats_.rejoins += 1;
   s->ever_joined = true;
@@ -221,8 +237,8 @@ void Coordinator::FinishJoin(Conn* conn, const Message& join,
 
 // --- Scheduler ------------------------------------------------------------
 
-void Coordinator::Grant(int site, uint64_t want) {
-  order_journal_.push_back(GrantEntry{site, want});
+void Coordinator::Grant(int site, uint64_t want, bool exclusive) {
+  order_journal_.push_back(GrantEntry{site, want, exclusive});
   Message grant;
   grant.type = MsgType::kGrant;
   grant.site = site;
@@ -232,15 +248,41 @@ void Coordinator::Grant(int site, uint64_t want) {
 }
 
 void Coordinator::TrySchedule() {
-  if (options_.mode == RunMode::kFreerun) return;  // granted at request
-  // Lockstep: one grant in flight fleet-wide. If the grantee's connection
-  // died mid-run, the floor stays held until it resumes and finishes at
-  // its original journal position (consistency over availability).
-  while (active_site_ == -1 && !want_queue_.empty()) {
-    GrantEntry next = want_queue_.front();
-    want_queue_.pop_front();
-    active_site_ = next.site;
-    Grant(next.site, next.length);
+  // Lockstep only; freerun grants each request as it arrives. Strict
+  // rotation: the turn holder's want goes out next, so no site runs
+  // ahead of the others and the journal is a pure function of the
+  // options. A grant the mirror certifies broadcast-free overlaps
+  // whatever is in flight; any other waits for the fleet to drain and
+  // runs alone. A crashed site stalls the rotation at its turn until it
+  // resumes (consistency over availability).
+  if (options_.mode == RunMode::kFreerun) return;
+  const int k = options_.num_sites;
+  while (!exclusive_) {
+    int skipped = 0;
+    while (skipped < k && sessions_[static_cast<size_t>(turn_)].done) {
+      turn_ = (turn_ + 1) % k;
+      ++skipped;
+    }
+    if (skipped == k) return;
+    Session& s = sessions_[static_cast<size_t>(turn_)];
+    if (s.want == 0) return;  // the turn holder has not asked yet
+    uint64_t& granted = granted_[static_cast<size_t>(turn_)];
+    granted += s.want;
+    if (!decider_.CannotBroadcast(granted_)) {
+      if (in_flight_ > 0) {
+        granted -= s.want;
+        return;
+      }
+      exclusive_ = true;
+      stats_.exclusive_grants += 1;
+    }
+    Grant(turn_, s.want, exclusive_);
+    s.want = 0;
+    s.in_flight = true;
+    ++in_flight_;
+    stats_.peak_grants_in_flight = std::max(
+        stats_.peak_grants_in_flight, static_cast<uint64_t>(in_flight_));
+    turn_ = (turn_ + 1) % k;
   }
 }
 
@@ -295,17 +337,19 @@ void Coordinator::ApplyDelivered(int site, Message msg, uint64_t up_seq) {
     case MsgType::kGrantRequest:
       if (msg.a == 0) {
         s.done = true;
+        TrySchedule();  // the rotation may be waiting at this site's turn
       } else if (options_.mode == RunMode::kFreerun) {
-        Grant(site, msg.a);
+        Grant(site, msg.a, /*exclusive=*/false);
       } else {
-        want_queue_.push_back(GrantEntry{site, msg.a});
+        s.want = msg.a;
         TrySchedule();
       }
       break;
     case MsgType::kGrantDone:
       s.position = msg.a;
-      if (active_site_ == site) {
-        active_site_ = -1;
+      if (s.in_flight) {
+        s.in_flight = false;
+        if (--in_flight_ == 0) exclusive_ = false;
         TrySchedule();
       }
       break;
@@ -378,14 +422,9 @@ sim::wire::Message Coordinator::Query(const Message& query) const {
         double phi = 0;
         uint64_t bits = query.b;
         memcpy(&phi, &bits, sizeof(phi));
-        double target = phi * static_cast<double>(n_prime);
-        uint64_t lo = 0, hi = options_.universe;
-        while (lo < hi) {
-          uint64_t mid = lo + (hi - lo) / 2;
-          if (rank_replica_->Estimate(mid) < target) lo = mid + 1;
-          else hi = mid;
-        }
-        result.values = {lo, Bits(rank_replica_->Estimate(lo))};
+        auto [value, est] = rank_replica_->Quantile(
+            phi * static_cast<double>(n_prime), options_.universe);
+        result.values = {value, Bits(est)};
       }
       break;
     case kQueryStats: {
@@ -534,6 +573,7 @@ int Coordinator::PollOnce(int timeout_ms) {
       }
       stats_.bytes_in += static_cast<uint64_t>(n);
       conn->reader.Append(buf, static_cast<size_t>(n));
+      if (static_cast<size_t>(n) < sizeof(buf)) break;  // drained for now
     }
     for (;;) {
       Message msg;
@@ -552,17 +592,13 @@ int Coordinator::PollOnce(int timeout_ms) {
       CloseConn(conn);
       continue;
     }
-    // Ack whatever the reads advanced, then push responses out now —
-    // a site may be parked on one of these frames.
-    if (conn->site >= 0) {
-      Session& s = sessions_[static_cast<size_t>(conn->site)];
-      Message ack;
-      ack.type = MsgType::kAck;
-      ack.site = conn->site;
-      ack.a = s.up.watermark();
-      AppendUnseq(conn, ack);
-    }
+    // Push responses out now: a site may be parked on one of these frames.
     TryWrite(conn);
+  }
+  // Frames staged for other sites this round (a grant handed on, a
+  // broadcast fanned out) go out now, not after another poll.
+  for (auto& conn : conns_) {
+    if (!conn->closed && conn->pending() > 0) TryWrite(conn.get());
   }
 
   conns_.erase(std::remove_if(conns_.begin(), conns_.end(),

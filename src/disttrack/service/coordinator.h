@@ -11,6 +11,19 @@
 // order journal) are answered from the replicas at any time, including
 // mid-stream.
 //
+// Lockstep admission is certified and concurrent. Grants go out in
+// strict site rotation; the turn holder's want is issued at once when
+// CoarseMirror::CannotBroadcast certifies that no interleaving of the
+// runs granted so far, plus this one, can broadcast. An uncertified want
+// waits until every grant in flight is done and then runs alone: once
+// the fleet has drained, the projection is exact, so the exclusive
+// grants are exactly the ones that carry a broadcast. Broadcast frames
+// are staged on each site's FIFO downlink before any later grant, so
+// every site applies each ritual at its journal position, and within a
+// window of overlapping grants the sites touch no shared state. The
+// fleet therefore stays bit-identical to the serial replay of the
+// journal (docs/ARCHITECTURE.md, determinism tiers).
+//
 // Event loop contract: the loop never blocks on any one connection —
 // reads are non-blocking and framed by FrameReader, writes buffer and
 // drain on POLLOUT, and a site whose output buffer exceeds the
@@ -19,16 +32,16 @@
 // path; the coordinator never needs to wait for it.
 //
 // Fault model (docs/OPERATIONS.md): a site connection dying mid-grant
-// stalls the lockstep scheduler — no other site is granted until the
-// crashed site resumes and completes its run at its original journal
-// position. That trades availability for the tier-A bit-identity
-// guarantee; freerun mode keeps granting and settles for ε-accuracy.
+// stalls the rotation at that site's next turn, and an exclusive grant
+// waits for the crashed site's run to drain, until the site resumes and
+// completes its run at its original journal position. That trades
+// availability for the tier-A bit-identity guarantee; freerun mode keeps
+// granting and settles for ε-accuracy.
 
 #ifndef DISTTRACK_SERVICE_COORDINATOR_H_
 #define DISTTRACK_SERVICE_COORDINATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,6 +82,17 @@ class Coordinator {
     uint64_t paper_messages = 0, paper_words = 0;
     uint64_t broadcasts = 0, decisions = 0;
     uint64_t rejoins = 0, rituals_acked = 0;
+    // Lockstep admission (in-process only; not in the kQueryStats vector).
+    uint64_t peak_grants_in_flight = 0;
+    uint64_t exclusive_grants = 0;  ///< uncertified grants, run alone
+  };
+
+  /// One journaled grant. `exclusive` marks a grant that was not
+  /// certified broadcast-free and therefore ran with the fleet drained.
+  struct GrantEntry {
+    int site = 0;
+    uint64_t length = 0;
+    bool exclusive = false;
   };
 
   explicit Coordinator(const ServiceOptions& options);
@@ -97,6 +121,8 @@ class Coordinator {
   bool AllSitesDone() const;
   const Stats& stats() const { return stats_; }
   uint64_t site_position(int site) const;
+  /// The grant order journal (kQueryJournal serves site/length pairs).
+  const std::vector<GrantEntry>& journal() const { return order_journal_; }
 
   /// Answers a query in-process (same code path as the wire API).
   sim::wire::Message Query(const sim::wire::Message& query) const;
@@ -113,6 +139,7 @@ class Coordinator {
     sim::wire::Message join;
     bool close_after_drain = false;
     bool closed = false;
+    uint64_t acked = 0;  ///< uplink watermark last acked to the site
     size_t pending() const { return out.size() - out_off; }
   };
 
@@ -125,11 +152,8 @@ class Coordinator {
     bool ever_joined = false;
     bool done = false;            ///< end-of-stream kGrantRequest delivered
     uint64_t rituals_acked = 0;   ///< kRitualAck frames delivered
-  };
-
-  struct GrantEntry {
-    int site = 0;
-    uint64_t length = 0;
+    uint64_t want = 0;            ///< pending lockstep request (0 = none)
+    bool in_flight = false;       ///< granted, kGrantDone not yet delivered
   };
 
   void HandleFrame(Conn* conn, sim::wire::Message msg, uint64_t seq);
@@ -140,7 +164,7 @@ class Coordinator {
   void FinishJoin(Conn* conn, const sim::wire::Message& join,
                   const sim::wire::Message& hello);
   void TrySchedule();
-  void Grant(int site, uint64_t want);
+  void Grant(int site, uint64_t want, bool exclusive);
   void AnswerQuery(Conn* conn, const sim::wire::Message& query);
   void BeginShutdown();
 
@@ -174,10 +198,13 @@ class Coordinator {
   std::unique_ptr<sim::FrequencyReplica> frequency_replica_;
   std::unique_ptr<sim::RankReplica> rank_replica_;
 
-  // Lockstep admission: FIFO of pending wants, at most one grant in
-  // flight fleet-wide. active_site_ == -1 means the floor is free.
-  std::deque<GrantEntry> want_queue_;
-  int active_site_ = -1;
+  // Lockstep admission (TrySchedule): the rotation cursor, the arrivals
+  // granted to each site so far, and the grants not yet done. While
+  // exclusive_ is set, the one grant in flight is uncertified.
+  int turn_ = 0;
+  std::vector<uint64_t> granted_;
+  int in_flight_ = 0;
+  bool exclusive_ = false;
   uint64_t grant_ordinal_ = 0;
   std::vector<GrantEntry> order_journal_;
 

@@ -172,6 +172,10 @@ void SiteRuntime::MaybeSnapshot() {
   }
   if (position_ - last_snapshot_pos_ < config_.options.snapshot_every) return;
   if (!half_->SnapshotReady()) return;  // retry at the next run boundary
+  // The snapshot's up_next_seq must not cover a staged, unsent frame: a
+  // crash right after the write would leave a sequence gap that the
+  // coordinator waits on forever.
+  if (!Flush()) return;
   SiteSnapshot snap;
   snap.options_hash = options_hash_;
   snap.site = config_.site;
@@ -266,6 +270,12 @@ int SiteRuntime::Run() {
   const uint64_t shard = ShardSize(config_.options, config_.site);
   while (position_ < shard && !shutdown_ && !failed_) {
     MaybeSnapshot();
+    // An armed crash on a run boundary fires here, right after the
+    // boundary's snapshot and before the next request goes out.
+    if (config_.crash_after != 0 &&
+        arrivals_in_process_ == config_.crash_after) {
+      _exit(7);
+    }
     uint64_t want = shard - position_;
     if (want > config_.options.grant_max) want = config_.options.grant_max;
     Message request;
@@ -302,12 +312,13 @@ int SiteRuntime::Run() {
     arrivals_in_process_ += absorbed;
     if (shutdown_ || failed_) break;
     if (crash) _exit(7);  // hard crash: no flush, no snapshot, no goodbye
+    // Staged only: the next request (or the end-of-stream frame) goes
+    // out in the same write, one uplink send per grant boundary.
     Message done;
     done.type = MsgType::kGrantDone;
     done.site = config_.site;
     done.a = position_;
     StageUp(done, nullptr);
-    if (!Flush()) break;
   }
 
   if (!shutdown_ && !failed_) {

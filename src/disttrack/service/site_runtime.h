@@ -54,7 +54,10 @@ class SiteRuntime : public sim::wire::WireTap {
     std::string snapshot_dir;  ///< empty = snapshots off
     uint64_t crash_after = 0;  ///< _exit(7) after this many arrivals in
                                ///< this process (0 = never); simulates a
-                               ///< hard crash for the recovery tests
+                               ///< hard crash for the recovery tests. On
+                               ///< a run boundary it fires after that
+                               ///< boundary's snapshot, before the next
+                               ///< grant request
     int connected_fd = -1;     ///< already-connected socket to use instead
                                ///< of dialing `endpoint` (fork-based tests)
   };

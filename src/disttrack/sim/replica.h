@@ -52,6 +52,21 @@ struct CoarseMirror {
     }
     return false;
   }
+
+  /// Broadcast certificate for runs inside the current round: true iff
+  /// sites whose local counts end at `totals[i]` cannot trigger a
+  /// broadcast, under any interleaving of their arrivals. Exact, by
+  /// CoarseTracker::BatchCannotBroadcast's argument: a site reports at
+  /// the power-of-two local counts, so once every run is done n' is
+  /// Σ ⌊totals[i]⌋₂, and n' only grows, so no report on the way reached
+  /// max(1, 2 n̄) iff the final sum stays below it.
+  bool CannotBroadcast(const std::vector<uint64_t>& totals) const {
+    uint64_t projected = 0;
+    for (uint64_t total : totals) {
+      if (total > 0) projected += uint64_t{1} << (63 - __builtin_clzll(total));
+    }
+    return projected < std::max<uint64_t>(1, 2 * n_bar);
+  }
 };
 
 // --- Count replica --------------------------------------------------------
@@ -339,19 +354,9 @@ class RankReplica {
     double est = 0;
     for (const Site& site : sites_) {
       for (const Instance& data : site.instances) {
-        uint32_t cursor = 0;
-        for (;;) {
-          const StoredSummary* best = nullptr;
-          for (const StoredSummary& stored : data.summaries) {
-            if (stored.first_leaf == cursor &&
-                (best == nullptr || stored.end_leaf > best->end_leaf)) {
-              best = &stored;
-            }
-          }
-          if (best == nullptr) break;
-          est += SummaryRankBelow(*best, value);
-          cursor = best->end_leaf;
-        }
+        ForEachCover(data, [&](const StoredSummary& stored) {
+          est += SummaryRankBelow(stored, value);
+        });
         uint64_t below = 0;
         for (size_t i = data.residual_begin; i < data.residuals.size(); ++i) {
           if (data.residuals[i].value < value) ++below;
@@ -360,6 +365,56 @@ class RankReplica {
       }
     }
     return est;
+  }
+
+  /// The coordinator's quantile search: the smallest value in
+  /// [0, universe) whose Estimate reaches `target` (universe if none
+  /// does), with that value's estimate. Bit-identical to bisecting over
+  /// Estimate, but the work the probes share is done once: each
+  /// instance's cover is resolved to its summaries' sorted segments and
+  /// its live residuals are sorted, so a probe is binary searches only,
+  /// each inside the window the earlier probes left it. The terms are
+  /// summed in Estimate's order, so every probe's sum is the same double.
+  std::pair<uint64_t, double> Quantile(double target,
+                                       uint64_t universe) const {
+    QueryPlan plan;
+    size_t live = 0;
+    for (const Site& site : sites_) {
+      for (const Instance& data : site.instances) {
+        live += data.residuals.size() - data.residual_begin;
+      }
+    }
+    plan.residuals.reserve(live);  // runs point into it
+    for (const Site& site : sites_) {
+      for (const Instance& data : site.instances) {
+        ForEachCover(data, [&](const StoredSummary& stored) {
+          uint32_t begin = 0;
+          for (const auto& [weight, end] : stored.segments) {
+            plan.AddRun(stored.values.data() + begin,
+                        stored.values.data() + end, weight);
+            begin = end;
+          }
+          plan.EndTerm(1.0);
+        });
+        size_t first = plan.residuals.size();
+        for (size_t i = data.residual_begin; i < data.residuals.size(); ++i) {
+          plan.residuals.push_back(data.residuals[i].value);
+        }
+        uint64_t* run = plan.residuals.data();
+        std::sort(run + first, run + plan.residuals.size());
+        plan.AddRun(run + first, run + plan.residuals.size(), 1);
+        plan.EndTerm(data.inv_p);
+      }
+    }
+    uint64_t lo = 0, hi = universe;
+    while (lo < hi) {
+      uint64_t mid = lo + (hi - lo) / 2;
+      bool below = plan.Estimate(mid) < target;
+      plan.Narrow(below);
+      if (below) lo = mid + 1;
+      else hi = mid;
+    }
+    return {lo, plan.Estimate(lo)};
   }
 
   uint64_t round() const { return coarse_.round; }
@@ -387,6 +442,73 @@ class RankReplica {
     std::vector<Instance> instances;
     bool open = false;
   };
+
+  // Quantile's per-query plan: Estimate's terms in Estimate's order,
+  // each a weighted count of values below the probe over sorted runs
+  // (a cover summary's segments, or an instance's sorted residuals),
+  // times a scale (1 for a summary, exact; the instance's 1/p for its
+  // residuals). Each run keeps the window [lo, hi) its probe position
+  // is still known to lie in, so a bisection's later probes search
+  // ever-smaller windows.
+  struct QueryPlan {
+    struct Run {
+      const uint64_t* begin;
+      const uint64_t* lo;
+      const uint64_t* hi;
+      uint64_t weight;
+      const uint64_t* probed = nullptr;  ///< position at the last probe
+    };
+    struct Term {
+      size_t run_end;
+      double scale;
+    };
+    std::vector<Run> runs;
+    std::vector<Term> terms;
+    std::vector<uint64_t> residuals;
+
+    void AddRun(const uint64_t* first, const uint64_t* last, uint64_t w) {
+      runs.push_back(Run{first, first, last, w});
+    }
+    void EndTerm(double scale) { terms.push_back(Term{runs.size(), scale}); }
+
+    double Estimate(uint64_t value) {
+      double est = 0;
+      size_t r = 0;
+      for (const Term& term : terms) {
+        uint64_t below = 0;
+        for (; r < term.run_end; ++r) {
+          Run& run = runs[r];
+          run.probed = std::lower_bound(run.lo, run.hi, value);
+          below += run.weight * static_cast<uint64_t>(run.probed - run.begin);
+        }
+        est += static_cast<double>(below) * term.scale;
+      }
+      return est;
+    }
+    /// After a probe: the next ones lie above it (`above`) or at/below it.
+    void Narrow(bool above) {
+      for (Run& run : runs) (above ? run.lo : run.hi) = run.probed;
+    }
+  };
+
+  /// Calls visit(summary) for each summary of the instance's greedy
+  /// maximal dyadic cover, in cover order (RandomizedRankTracker's).
+  template <typename Visit>
+  static void ForEachCover(const Instance& data, Visit visit) {
+    uint32_t cursor = 0;
+    for (;;) {
+      const StoredSummary* best = nullptr;
+      for (const StoredSummary& stored : data.summaries) {
+        if (stored.first_leaf == cursor &&
+            (best == nullptr || stored.end_leaf > best->end_leaf)) {
+          best = &stored;
+        }
+      }
+      if (best == nullptr) return;
+      visit(*best);
+      cursor = best->end_leaf;
+    }
+  }
 
   bool stored_covers_chunk(const StoredSummary& stored) const {
     return stored.first_leaf == 0 && stored.end_leaf == num_leaves_;

@@ -179,18 +179,46 @@ class EventIndexTap : public sim::wire::WireTap {
   std::set<uint64_t> events_;
 };
 
+/// Where the armed site's crash lands, and what RunCountCrash checks
+/// about it on top of recovery.
+enum class CrashPoint {
+  kMidRun,  ///< inside a grant; the replacement regenerates frames
+  /// Inside a grant, between two arrivals that report nothing in the
+  /// serial replay: the site feed must split a bulk eventless stretch.
+  kEventlessSplit,
+  /// Inside a certified grant: while the site is down, every other site
+  /// is granted past its outstanding run, then the rotation stalls at
+  /// the crashed site's turn.
+  kBesideCertifiedGrants,
+  /// On a grant boundary, right after that boundary's snapshot: the
+  /// snapshot covers every frame sent, so nothing is replayed.
+  kAfterBoundarySnapshot,
+};
+
 /// Runs a 4-site count fleet with site 2 crashing after `crash_after`
 /// arrivals, recovers it, and pins bit-identity + paper-ledger equality.
-/// `eventless_crash` also asserts that the crash split an eventless
-/// stretch: neither the last arrival before it nor the first after it
-/// reported anything in the serial replay.
 void RunCountCrash(const ServiceOptions& options, uint64_t crash_after,
-                   bool eventless_crash = false) {
+                   CrashPoint point = CrashPoint::kMidRun) {
   RecoveryFleet fleet(options);
   for (int site = 0; site < 4; ++site) {
     fleet.StartSite(site, site == 2 ? crash_after : 0);
   }
   fleet.AwaitCrash(2);
+  if (point == CrashPoint::kBesideCertifiedGrants) {
+    const std::vector<Coordinator::GrantEntry>& grants =
+        fleet.coordinator().journal();
+    auto granted_past_crash = [&] {
+      size_t after = 0;
+      for (size_t g = grants.size(); g-- > 0 && grants[g].site != 2;) ++after;
+      return after;
+    };
+    ASSERT_TRUE(fleet.PumpUntil([&] { return granted_past_crash() == 3; }));
+    for (size_t g = grants.size() - 4; g < grants.size(); ++g) {
+      EXPECT_FALSE(grants[g].exclusive) << "grant " << g;
+    }
+    for (int i = 0; i < 50; ++i) fleet.coordinator().PollOnce(5);
+    EXPECT_EQ(granted_past_crash(), 3u) << "rotation passed the dead site";
+  }
   fleet.StartSite(2);  // replacement: resumes from snapshot if present
   ASSERT_TRUE(fleet.PumpUntil(
       [&] { return fleet.coordinator().AllSitesDone(); }, 200000));
@@ -198,7 +226,12 @@ void RunCountCrash(const ServiceOptions& options, uint64_t crash_after,
   const Coordinator::Stats& stats = fleet.coordinator().stats();
   EXPECT_EQ(stats.rejoins, 1u);
   std::vector<uint64_t> s = Ask(fleet.coordinator(), kQueryStats).values;
-  EXPECT_GE(s[11], 1u) << "recovery replay produced no duplicate frames";
+  if (point == CrashPoint::kAfterBoundarySnapshot) {
+    EXPECT_EQ(crash_after % options.grant_max, 0u);
+    EXPECT_EQ(s[11], 0u) << "the snapshot should have covered every frame";
+  } else {
+    EXPECT_GE(s[11], 1u) << "recovery replay produced no duplicate frames";
+  }
   EXPECT_EQ(s[17], 1u) << "wire-byte ledger broken after recovery";
 
   Message journal = Ask(fleet.coordinator(), kQueryJournal);
@@ -217,7 +250,7 @@ void RunCountCrash(const ServiceOptions& options, uint64_t crash_after,
   }
   EXPECT_EQ(replayed, options.total_arrivals)
       << "grant journal lost or double-granted arrivals across the crash";
-  if (eventless_crash) {
+  if (point == CrashPoint::kEventlessSplit) {
     EXPECT_NE(crash_after % options.grant_max, 0u);
     EXPECT_FALSE(events.IsEvent(crash_after - 1));
     EXPECT_FALSE(events.IsEvent(crash_after));
@@ -261,7 +294,34 @@ TEST(ServiceRecovery, CrashInsideAnEventlessStretchSplitsTheRun) {
   options.total_arrivals = 400000;
   options.grant_max = 2048;
   options.snapshot_every = 16384;
-  RunCountCrash(options, /*crash_after=*/70001, /*eventless_crash=*/true);
+  RunCountCrash(options, /*crash_after=*/70001, CrashPoint::kEventlessSplit);
+}
+
+TEST(ServiceRecovery, CrashRightAfterABoundarySnapshotLeavesNoGap) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  // Site 2 dies at 768 arrivals, a grant boundary, right after the
+  // snapshot taken there. The grant's kGrantDone is staged to ride with
+  // the next request, so the snapshot must flush it first: a snapshot
+  // whose uplink cursor covers an unsent frame would leave a sequence
+  // gap the coordinator waits on forever.
+  RunCountCrash(SmallCountFleet(/*snapshot_every=*/256), /*crash_after=*/768,
+                CrashPoint::kAfterBoundarySnapshot);
+}
+
+TEST(ServiceRecovery, CrashWhileOtherSitesHoldCertifiedGrants) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  // At site 2's 50001st arrival every site is between 32768 and 65535
+  // local arrivals, so no report can move n' and every grant there is
+  // certified: sites 3, 0 and 1 are granted past the dead site's run,
+  // which the replacement then finishes at its journal position.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kCount;
+  options.num_sites = 4;
+  options.total_arrivals = 400000;
+  options.grant_max = 2048;
+  options.snapshot_every = 16384;
+  RunCountCrash(options, /*crash_after=*/50001,
+                CrashPoint::kBesideCertifiedGrants);
 }
 
 TEST(ServiceRecovery, RankSiteRecoversMidRun) {

@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -23,6 +24,7 @@
 
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/frequency/randomized_frequency.h"
+#include "disttrack/rank/randomized_rank.h"
 #include "disttrack/service/coordinator.h"
 #include "disttrack/service/options.h"
 #include "disttrack/service/site_runtime.h"
@@ -163,9 +165,35 @@ std::vector<uint64_t> StatsVector(const Coordinator& coordinator) {
   return Ask(coordinator, kQueryStats).values;
 }
 
+/// The lockstep journal as a pure function of the options: strict site
+/// rotation, each grant min(grant_max, what is left of the site's shard),
+/// as site/length pairs (the kQueryJournal layout).
+std::vector<uint64_t> ExpectedRotation(const ServiceOptions& options) {
+  std::vector<uint64_t> left;
+  for (int site = 0; site < options.num_sites; ++site) {
+    left.push_back(ShardSize(options, site));
+  }
+  std::vector<uint64_t> journal;
+  for (bool any = true; any;) {
+    any = false;
+    for (size_t site = 0; site < left.size(); ++site) {
+      if (left[site] == 0) continue;
+      uint64_t length = std::min(left[site], options.grant_max);
+      journal.push_back(site);
+      journal.push_back(length);
+      left[site] -= length;
+      any = true;
+    }
+  }
+  return journal;
+}
+
 /// Runs a lockstep count fleet to completion and pins it to the serial
 /// replay of the coordinator's grant journal: same arrival order, same
 /// per-site streams, so estimates and both ledgers must agree exactly.
+/// Also pins the admission scheduler: the journal is the strict rotation,
+/// grants did overlap, and the grants run alone (exclusive) are exactly
+/// the ones whose serial replay broadcasts.
 void ExpectLockstepCountMatchesSerial(const ServiceOptions& options) {
   Fleet fleet(options);
   for (int site = 0; site < options.num_sites; ++site) fleet.StartSite(site);
@@ -173,14 +201,22 @@ void ExpectLockstepCountMatchesSerial(const ServiceOptions& options) {
       [&] { return fleet.coordinator().AllSitesDone(); }, 200000));
 
   Message journal = Ask(fleet.coordinator(), kQueryJournal);
+  EXPECT_EQ(journal.values, ExpectedRotation(options));
+  const std::vector<Coordinator::GrantEntry>& grants =
+      fleet.coordinator().journal();
+  ASSERT_EQ(grants.size() * 2, journal.values.size());
   count::RandomizedCountTracker serial(options.CountOptions());
   uint64_t replayed = 0;
-  for (size_t i = 0; i + 1 < journal.values.size(); i += 2) {
-    int site = static_cast<int>(journal.values[i]);
-    for (uint64_t j = 0; j < journal.values[i + 1]; ++j) {
-      serial.Arrive(site);
+  uint64_t exclusive = 0;
+  for (size_t g = 0; g < grants.size(); ++g) {
+    uint64_t broadcasts = serial.meter().broadcast_count();
+    for (uint64_t j = 0; j < grants[g].length; ++j) {
+      serial.Arrive(grants[g].site);
       ++replayed;
     }
+    bool broadcast = serial.meter().broadcast_count() != broadcasts;
+    EXPECT_EQ(grants[g].exclusive, broadcast) << "grant " << g;
+    if (grants[g].exclusive) ++exclusive;
   }
   EXPECT_EQ(replayed, options.total_arrivals);
 
@@ -192,6 +228,8 @@ void ExpectLockstepCountMatchesSerial(const ServiceOptions& options) {
   EXPECT_EQ(stats.paper_messages, serial.meter().TotalMessages());
   EXPECT_EQ(stats.paper_words, serial.meter().TotalWords());
   EXPECT_EQ(stats.broadcasts, serial.meter().broadcast_count());
+  EXPECT_EQ(stats.exclusive_grants, exclusive);
+  EXPECT_GT(stats.peak_grants_in_flight, 1u) << "no grants overlapped";
 
   // Wire-byte ledger: every socket byte is a frame byte, both ways.
   std::vector<uint64_t> s = StatsVector(fleet.coordinator());
@@ -224,6 +262,92 @@ TEST(ServiceSession, BulkLockstepCountFleetMatchesSerialBitForBit) {
   options.total_arrivals = 2000000;
   options.grant_max = 2048;
   ExpectLockstepCountMatchesSerial(options);
+}
+
+TEST(ServiceSession, LockstepRankFleetMatchesSerialBitForBit) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  // Rank sites run their certified grants concurrently; the replica's
+  // per-site instance lists make the interleaving invisible, so every
+  // probe and the quantile search match the journal replay exactly.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kRank;
+  options.num_sites = 4;
+  options.epsilon = 0.01;
+  options.total_arrivals = 400000;
+  options.grant_max = 2048;
+  Fleet fleet(options);
+  for (int site = 0; site < options.num_sites; ++site) fleet.StartSite(site);
+  ASSERT_TRUE(fleet.PumpUntil(
+      [&] { return fleet.coordinator().AllSitesDone(); }, 200000));
+
+  Message journal = Ask(fleet.coordinator(), kQueryJournal);
+  EXPECT_EQ(journal.values, ExpectedRotation(options));
+  rank::RandomizedRankTracker serial(options.RankOptions());
+  std::vector<uint64_t> position(4, 0);
+  for (size_t i = 0; i + 1 < journal.values.size(); i += 2) {
+    int site = static_cast<int>(journal.values[i]);
+    for (uint64_t j = 0; j < journal.values[i + 1]; ++j) {
+      serial.Arrive(site, WorkloadKey(options, site,
+                                      position[static_cast<size_t>(site)]++));
+    }
+  }
+  for (uint64_t i = 1; i < 8; ++i) {
+    uint64_t value = options.universe / 8 * i;
+    EXPECT_EQ(Ask(fleet.coordinator(), kQueryRank, value).values[0],
+              Bits(serial.EstimateRank(value)))
+        << "rank probe at " << value;
+  }
+  uint64_t n_prime = Ask(fleet.coordinator(), kQueryCount).values[1];
+  double target = 0.5 * static_cast<double>(n_prime);
+  uint64_t lo = 0, hi = options.universe;
+  while (lo < hi) {
+    uint64_t mid = lo + (hi - lo) / 2;
+    if (serial.EstimateRank(mid) < target) lo = mid + 1;
+    else hi = mid;
+  }
+  Message median = Ask(fleet.coordinator(), kQueryQuantile, Bits(0.5));
+  EXPECT_EQ(median.values[0], lo);
+  EXPECT_EQ(median.values[1], Bits(serial.EstimateRank(lo)));
+
+  const Coordinator::Stats& stats = fleet.coordinator().stats();
+  EXPECT_EQ(stats.paper_messages, serial.meter().TotalMessages());
+  EXPECT_EQ(stats.paper_words, serial.meter().TotalWords());
+  EXPECT_EQ(stats.broadcasts, serial.meter().broadcast_count());
+  EXPECT_GT(stats.peak_grants_in_flight, 1u) << "no grants overlapped";
+  fleet.ShutdownAndReap();
+}
+
+TEST(ServiceSession, SameOptionsGiveTheSameJournalAndLedger) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  // Strict rotation makes the journal, and with it the whole paper
+  // ledger, a function of the options alone: however the two fleets'
+  // sites happen to be scheduled, they agree to the word.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kCount;
+  options.num_sites = 4;
+  options.epsilon = 0.01;
+  options.total_arrivals = 300000;
+  options.grant_max = 2048;
+  std::vector<uint64_t> ledgers[2];
+  std::vector<uint64_t> journals[2];
+  for (int run = 0; run < 2; ++run) {
+    Fleet fleet(options);
+    // Join in opposite orders: the rotation must not care.
+    for (int i = 0; i < options.num_sites; ++i) {
+      fleet.StartSite(run == 0 ? i : options.num_sites - 1 - i);
+    }
+    ASSERT_TRUE(fleet.PumpUntil(
+        [&] { return fleet.coordinator().AllSitesDone(); }, 200000));
+    const Coordinator::Stats& stats = fleet.coordinator().stats();
+    ledgers[run] = {stats.paper_messages, stats.paper_words,
+                    stats.broadcasts, stats.exclusive_grants,
+                    Ask(fleet.coordinator(), kQueryCount).values[0]};
+    journals[run] = Ask(fleet.coordinator(), kQueryJournal).values;
+    fleet.ShutdownAndReap();
+  }
+  EXPECT_EQ(journals[0], ExpectedRotation(options));
+  EXPECT_EQ(journals[0], journals[1]);
+  EXPECT_EQ(ledgers[0], ledgers[1]);
 }
 
 TEST(ServiceSession, FrequencyQueriesOverTheFleet) {

@@ -1,11 +1,17 @@
 // Tests for disttrack/sim: communication metering (including the broadcast
 // = k messages rule of §1.1), space gauges, and the replay drivers.
 
+#include <cstring>
+#include <utility>
+
 #include <gtest/gtest.h>
 
+#include "disttrack/common/random.h"
+#include "disttrack/rank/randomized_rank.h"
 #include "disttrack/sim/cluster.h"
 #include "disttrack/sim/comm_meter.h"
 #include "disttrack/sim/protocol.h"
+#include "disttrack/sim/replica.h"
 #include "disttrack/sim/space_gauge.h"
 
 namespace disttrack {
@@ -306,6 +312,76 @@ TEST(ReplayTest, SiteStreamReplayMatchesWorkloadReplay) {
     EXPECT_EQ(cw[i].n, cs[i].n);
     EXPECT_DOUBLE_EQ(cw[i].estimate, cs[i].estimate);
   }
+}
+
+// --- RankReplica quantile search -------------------------------------------
+
+class ReplicaFeed : public wire::WireTap {
+ public:
+  explicit ReplicaFeed(RankReplica* replica) : replica_(replica) {}
+  void OnMessage(wire::Message&& msg) override { replica_->Apply(msg); }
+
+ private:
+  RankReplica* replica_;
+};
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits = 0;
+  memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+/// The reference search: bisection over Estimate, one full walk a probe.
+std::pair<uint64_t, double> BisectEstimate(const RankReplica& replica,
+                                           double target, uint64_t universe) {
+  uint64_t lo = 0, hi = universe;
+  while (lo < hi) {
+    uint64_t mid = lo + (hi - lo) / 2;
+    if (replica.Estimate(mid) < target) lo = mid + 1;
+    else hi = mid;
+  }
+  return {lo, replica.Estimate(lo)};
+}
+
+// RankReplica::Quantile plans each query once (resolved covers, sorted
+// residuals) and must still return exactly what bisecting over Estimate
+// returns, value and estimate bits, at every point of a real tracker's
+// frame stream: mid-chunk, across rounds, with duplicate-heavy values
+// and with targets no value reaches.
+TEST(RankReplicaTest, PlannedQuantileMatchesEstimateBisection) {
+  rank::RandomizedRankOptions options;
+  options.num_sites = 5;
+  options.epsilon = 0.05;
+  options.seed = 11;
+  rank::RandomizedRankTracker tracker(options);
+  RankReplica replica(options);
+  ReplicaFeed feed(&replica);
+  tracker.set_wire_tap(&feed);
+
+  const uint64_t universe = uint64_t{1} << 20;
+  Rng rng(29);
+  for (int chunk = 0; chunk < 60; ++chunk) {
+    uint64_t length = 1 + rng.UniformU64(6000);
+    uint64_t domain = (chunk % 3 == 0) ? 1000 : universe;  // ties
+    for (uint64_t i = 0; i < length; ++i) {
+      int site = static_cast<int>(rng.UniformU64(5));
+      tracker.Arrive(site, rng.UniformU64(domain));
+    }
+    for (int q = 0; q < 6; ++q) {
+      double phi = 1.2 * rng.NextDouble();  // > 1 reaches past the top
+      double target = phi * static_cast<double>(replica.n_prime());
+      std::pair<uint64_t, double> planned = replica.Quantile(target, universe);
+      std::pair<uint64_t, double> bisect =
+          BisectEstimate(replica, target, universe);
+      ASSERT_EQ(planned.first, bisect.first)
+          << "chunk " << chunk << " phi " << phi;
+      ASSERT_EQ(DoubleBits(planned.second), DoubleBits(bisect.second))
+          << "chunk " << chunk << " phi " << phi;
+      ASSERT_EQ(DoubleBits(planned.second),
+                DoubleBits(tracker.EstimateRank(planned.first)));
+    }
+  }
+  EXPECT_GT(replica.round(), 5u);
 }
 
 }  // namespace

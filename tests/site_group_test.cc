@@ -15,6 +15,8 @@
 #include "disttrack/common/site_group.h"
 #include "disttrack/count/coarse_tracker.h"
 #include "disttrack/sim/comm_meter.h"
+#include "disttrack/sim/replica.h"
+#include "disttrack/sim/wire.h"
 #include "disttrack/stream/workload.h"
 #include "test_util.h"
 
@@ -172,6 +174,57 @@ TEST(SiteGroupTest, BatchCannotBroadcastIsExactAgainstReplay) {
     EXPECT_GT(safe_chunks, 0);
     EXPECT_GT(unsafe_chunks, 0) << "workload must exercise both outcomes";
   }
+}
+
+// Feeds a CoarseMirror the coarse reports a CoarseTracker emits, as the
+// service coordinator's decider is fed.
+class MirrorFeed : public sim::wire::WireTap {
+ public:
+  explicit MirrorFeed(sim::CoarseMirror* mirror) : mirror_(mirror) {}
+  void OnMessage(sim::wire::Message&& msg) override {
+    if (msg.type == sim::wire::MsgType::kCoarseReport) {
+      mirror_->ApplyReport(msg.a);
+    }
+  }
+
+ private:
+  sim::CoarseMirror* mirror_;
+};
+
+// The lockstep coordinator's admission certificate (CoarseMirror's
+// projection over per-site totals) must give BatchCannotBroadcast's
+// answer on every random batch, and both must agree with what delivering
+// the batch actually does.
+TEST(SiteGroupTest, CoarseMirrorProjectionMatchesBatchCannotBroadcast) {
+  const int k = 7;
+  sim::CommMeter meter(k);
+  count::CoarseTracker coarse(k, &meter);
+  sim::CoarseMirror mirror;
+  MirrorFeed feed(&mirror);
+  coarse.set_wire_tap(&feed);
+  Rng rng(41);
+  int safe = 0, unsafe = 0;
+  for (int batch = 0; batch < 3000; ++batch) {
+    std::vector<uint32_t> histogram(k, 0);
+    std::vector<uint64_t> totals(k, 0);
+    uint64_t spread = 2 + 2 * coarse.n_prime() / k;
+    for (int i = 0; i < k; ++i) {
+      if (rng.UniformU64(3) != 0) {
+        histogram[i] = static_cast<uint32_t>(rng.UniformU64(spread));
+      }
+      totals[i] = coarse.local_count(i) + histogram[i];
+    }
+    bool certified = mirror.CannotBroadcast(totals);
+    ASSERT_EQ(certified, coarse.BatchCannotBroadcast(histogram.data()))
+        << "batch " << batch;
+    uint64_t round_before = coarse.round();
+    for (int i = 0; i < k; ++i) coarse.ArriveRun(i, histogram[i]);
+    ASSERT_EQ(certified, coarse.round() == round_before) << "batch " << batch;
+    ASSERT_EQ(mirror.n_bar, coarse.n_bar());
+    (certified ? safe : unsafe) += 1;
+  }
+  EXPECT_GT(safe, 100);
+  EXPECT_GT(unsafe, 10);
 }
 
 }  // namespace
