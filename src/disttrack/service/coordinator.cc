@@ -253,10 +253,17 @@ void Coordinator::TrySchedule() {
   // ahead of the others and the journal is a pure function of the
   // options. A grant the mirror certifies broadcast-free overlaps
   // whatever is in flight; any other waits for the fleet to drain and
-  // runs alone. A crashed site stalls the rotation at its turn until it
-  // resumes (consistency over availability).
+  // runs alone. At most k - 1 grants overlap: the coordinator is on every
+  // handoff, and with all k sites busy on a host of k cores it waits for
+  // a core behind a running site, so the rotation's pace rides on the
+  // kernel scheduler and the host's other tenants; k - 1 leaves it one
+  // (perfbench rank_lockstep_k4 ingest: run-to-run spread about 15% ->
+  // 6%, for about a quarter of the throughput). A crashed site stalls
+  // the rotation at its turn until it resumes (consistency over
+  // availability).
   if (options_.mode == RunMode::kFreerun) return;
   const int k = options_.num_sites;
+  const int max_in_flight = std::max(1, k - 1);
   while (!exclusive_) {
     int skipped = 0;
     while (skipped < k && sessions_[static_cast<size_t>(turn_)].done) {
@@ -266,6 +273,7 @@ void Coordinator::TrySchedule() {
     if (skipped == k) return;
     Session& s = sessions_[static_cast<size_t>(turn_)];
     if (s.want == 0) return;  // the turn holder has not asked yet
+    if (in_flight_ >= max_in_flight) return;  // the next kGrantDone frees one
     uint64_t& granted = granted_[static_cast<size_t>(turn_)];
     granted += s.want;
     if (!decider_.CannotBroadcast(granted_)) {

@@ -12,17 +12,18 @@
 // mid-stream.
 //
 // Lockstep admission is certified and concurrent. Grants go out in
-// strict site rotation; the turn holder's want is issued at once when
-// CoarseMirror::CannotBroadcast certifies that no interleaving of the
-// runs granted so far, plus this one, can broadcast. An uncertified want
-// waits until every grant in flight is done and then runs alone: once
-// the fleet has drained, the projection is exact, so the exclusive
-// grants are exactly the ones that carry a broadcast. Broadcast frames
-// are staged on each site's FIFO downlink before any later grant, so
-// every site applies each ritual at its journal position, and within a
-// window of overlapping grants the sites touch no shared state. The
-// fleet therefore stays bit-identical to the serial replay of the
-// journal (docs/ARCHITECTURE.md, determinism tiers).
+// strict site rotation; the turn holder's want is issued once fewer than
+// k - 1 grants are in flight (so the coordinator keeps a core when k
+// sites share a k-core host) and CoarseMirror::CannotBroadcast certifies
+// that no interleaving of the runs granted so far, plus this one, can
+// broadcast. An uncertified want waits until every grant in flight is
+// done and then runs alone: once the fleet has drained, the projection
+// is exact, so the exclusive grants are exactly the ones that carry a
+// broadcast. Broadcast frames are staged on each site's FIFO downlink
+// before any later grant, so every site applies each ritual at its
+// journal position, and within a window of overlapping grants the sites
+// touch no shared state. The fleet therefore stays bit-identical to the
+// serial replay of the journal (docs/ARCHITECTURE.md, determinism tiers).
 //
 // Event loop contract: the loop never blocks on any one connection —
 // reads are non-blocking and framed by FrameReader, writes buffer and

@@ -230,6 +230,9 @@ void ExpectLockstepCountMatchesSerial(const ServiceOptions& options) {
   EXPECT_EQ(stats.broadcasts, serial.meter().broadcast_count());
   EXPECT_EQ(stats.exclusive_grants, exclusive);
   EXPECT_GT(stats.peak_grants_in_flight, 1u) << "no grants overlapped";
+  EXPECT_LE(stats.peak_grants_in_flight,
+            static_cast<uint64_t>(options.num_sites - 1))
+      << "all k sites ran at once; the coordinator keeps one slot";
 
   // Wire-byte ledger: every socket byte is a frame byte, both ways.
   std::vector<uint64_t> s = StatsVector(fleet.coordinator());
@@ -314,6 +317,7 @@ TEST(ServiceSession, LockstepRankFleetMatchesSerialBitForBit) {
   EXPECT_EQ(stats.paper_words, serial.meter().TotalWords());
   EXPECT_EQ(stats.broadcasts, serial.meter().broadcast_count());
   EXPECT_GT(stats.peak_grants_in_flight, 1u) << "no grants overlapped";
+  EXPECT_LE(stats.peak_grants_in_flight, 3u) << "all four sites ran at once";
   fleet.ShutdownAndReap();
 }
 
