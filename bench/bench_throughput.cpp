@@ -22,16 +22,6 @@
 //    checkpoints into the skip-sampling event-countdown engine).
 // Both produce the same checkpoint schedule and ±eps-accurate estimates,
 // so the ratio isolates the delivery + sampling engine.
-//
-// SIMD dispatch policy: the legacy rows run under
-// simd::SetDispatchMode(kForceScalar) so their numbers stay comparable
-// across machines and across the pre-SIMD baselines; the simd_batched
-// rows re-run the frequency skip_batched and rank grouped_batched
-// configurations under kAuto, so the scalar/SIMD ratio is an in-binary
-// A/B on identical streams. Every row records which dispatch actually
-// ran (`simd`: 0 scalar, 1 AVX2) and --check skips rows whose recorded
-// dispatch differs from this machine's, the same way thread-scaling
-// rows are skipped across core counts.
 
 #include <cstdio>
 #include <cstdlib>
@@ -42,7 +32,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "disttrack/common/simd.h"
 #include "disttrack/core/tracking.h"
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/sim/cluster.h"
@@ -69,11 +58,6 @@ struct BenchEntry {
   // comparable between machines with the same core count — --check
   // skips them when the recorded core count differs (see Cores()).
   int threads = 0;
-  // Dispatch the row actually ran under: 0 scalar, 1 AVX2. Legacy rows
-  // are pinned to 0 (kForceScalar); simd_batched rows report what kAuto
-  // resolved to, so --check can refuse to compare a row recorded with
-  // AVX2 against a run on a machine without it.
-  int simd = 0;
 };
 
 // Physical parallelism of this machine, stamped into every run row so a
@@ -154,20 +138,18 @@ BenchEntry TimeConfig(const std::string& problem, const std::string& path,
 }
 
 core::TrackerOptions Options(int k, double eps, bool skip,
-                             bool shared_ladder = true,
-                             bool site_grouping = true) {
+                             bool shared_ladder = true) {
   core::TrackerOptions opt;
   opt.num_sites = k;
   opt.epsilon = eps;
   opt.seed = 20260728;
   opt.use_skip_sampling = skip;
   opt.use_shared_ladder = shared_ladder;
-  opt.use_site_grouping = site_grouping;
   return opt;
 }
 
-// The frequency tracker's grouped engine is opt-in through its own
-// options (core::TrackerOptions leaves it off; see tracking.h), so the
+// The frequency tracker's grouped engine is forced through its own
+// options (core::TrackerOptions has no switch for it), so the
 // grouped_batched frequency row constructs the tracker directly.
 std::unique_ptr<sim::FrequencyTrackerInterface> MakeFrequencyGrouped(
     int k, double eps) {
@@ -239,10 +221,10 @@ void WriteJson(const std::vector<BenchEntry>& entries,
         "    {\"problem\": \"%s\", \"path\": \"%s\", \"workload\": \"%s\", "
         "\"k\": %d, \"n\": %llu, \"eps\": %g, \"seconds\": %.6f, "
         "\"elements_per_sec\": %.1f, \"final_rel_error\": %.8f, "
-        "\"threads\": %d, \"cores\": %d, \"simd\": %d}%s\n",
+        "\"threads\": %d, \"cores\": %d}%s\n",
         e.problem.c_str(), e.path.c_str(), e.workload.c_str(), e.k,
         static_cast<unsigned long long>(e.n), e.eps, e.seconds,
-        e.elements_per_sec, e.final_rel_error, e.threads, Cores(), e.simd,
+        e.elements_per_sec, e.final_rel_error, e.threads, Cores(),
         i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"count_ab\": [\n");
@@ -303,14 +285,13 @@ struct BaselineEntry {
   double elements_per_sec = 0;
   int threads = 0;  // 0 on serial rows and pre-threads baselines
   int cores = 0;    // machine the baseline was recorded on; 0 = unknown
-  int simd = -1;    // dispatch the row ran under; -1 = pre-SIMD baseline
 };
 
 // Parses the `runs` lines of a BENCH_throughput.json produced by
 // WriteJson (one object per line; sscanf on our own fixed format).
-// Rows recorded before the threads/cores fields parse with both at 0;
-// rows recorded before the simd field parse with simd = -1 (unknown,
-// compared unconditionally — those baselines predate every SIMD path).
+// Rows recorded before the threads/cores fields parse with both at 0.
+// Fields after `cores` (older baselines carry a `simd` stamp) are
+// ignored.
 std::vector<BaselineEntry> ReadBaseline(const char* json_path) {
   std::vector<BaselineEntry> out;
   std::FILE* f = std::fopen(json_path, "r");
@@ -328,15 +309,14 @@ std::vector<BaselineEntry> ReadBaseline(const char* json_path) {
         "\"workload\": \"%15[^\"]\", \"k\": %d, \"n\": %llu, "
         "\"eps\": %lf, \"seconds\": %lf, "
         "\"elements_per_sec\": %lf, \"final_rel_error\": %lf, "
-        "\"threads\": %d, \"cores\": %d, \"simd\": %d",
+        "\"threads\": %d, \"cores\": %d",
         e.problem, e.path, e.workload, &e.k, &e.n, &eps, &seconds,
-        &e.elements_per_sec, &rel, &e.threads, &e.cores, &e.simd);
+        &e.elements_per_sec, &rel, &e.threads, &e.cores);
     if (got >= 8) {
       if (got < 11) {
         e.threads = 0;
         e.cores = 0;
       }
-      if (got < 12) e.simd = -1;
       out.push_back(e);
     }
   }
@@ -390,18 +370,6 @@ int CheckAgainstBaseline(const std::vector<BenchEntry>& entries,
                   "%d cores, this machine has %d)\n",
                   e.problem.c_str(), e.path.c_str(), e.workload.c_str(), e.k,
                   match->cores, Cores());
-      continue;
-    }
-    // Same idea for vector capability: a simd_batched row recorded with
-    // AVX2 dispatch would gate a non-AVX2 runner (or a scalar-forced CI
-    // leg) on the hardware, not the code. Pre-SIMD baselines (simd = -1)
-    // are compared unconditionally — their rows were scalar by
-    // construction and the legacy rows still run force-scalar.
-    if (match->simd >= 0 && match->simd != e.simd) {
-      std::printf("check  %-10s %-14s %-13s k=%-3d skipped (baseline "
-                  "dispatch simd=%d, this run has simd=%d)\n",
-                  e.problem.c_str(), e.path.c_str(), e.workload.c_str(), e.k,
-                  match->simd, e.simd);
       continue;
     }
     ++compared;
@@ -478,49 +446,6 @@ int CheckAgainstBaseline(const std::vector<BenchEntry>& entries,
       std::fprintf(f, "\n%d row(s) compared, %d regression(s), %d missing "
                    "baseline row(s).\n",
                    compared, failures, missing);
-      // Grouped-vs-countdown A/B of this very run, per configuration.
-      std::fprintf(f,
-                   "\n### grouped_batched vs skip_batched (this run)\n\n"
-                   "| problem | workload | k | grouped | skip | ratio |\n"
-                   "|---|---|---|---|---|---|\n");
-      for (const BenchEntry& g : entries) {
-        if (g.path != "grouped_batched") continue;
-        for (const BenchEntry& b : entries) {
-          if (b.path == "skip_batched" && b.problem == g.problem &&
-              b.workload == g.workload && b.k == g.k && b.n == g.n) {
-            std::fprintf(f, "| %s | %s | %d | %.0f | %.0f | %.2fx |\n",
-                         g.problem.c_str(), g.workload.c_str(), g.k,
-                         g.elements_per_sec, b.elements_per_sec,
-                         b.elements_per_sec > 0
-                             ? g.elements_per_sec / b.elements_per_sec
-                             : 0.0);
-          }
-        }
-      }
-      // Scalar-vs-SIMD A/B of this very run: each simd_batched row
-      // against the force-scalar row of the same configuration
-      // (frequency pairs with skip_batched, rank with grouped_batched —
-      // see the path tables in main()).
-      std::fprintf(f,
-                   "\n### simd_batched vs force-scalar twin (this run)\n\n"
-                   "| problem | workload | k | simd | scalar | ratio |\n"
-                   "|---|---|---|---|---|---|\n");
-      for (const BenchEntry& g : entries) {
-        if (g.path != "simd_batched") continue;
-        const char* twin =
-            g.problem == "frequency" ? "skip_batched" : "grouped_batched";
-        for (const BenchEntry& b : entries) {
-          if (b.path == twin && b.problem == g.problem &&
-              b.workload == g.workload && b.k == g.k && b.n == g.n) {
-            std::fprintf(f, "| %s | %s | %d | %.0f | %.0f | %.2fx |\n",
-                         g.problem.c_str(), g.workload.c_str(), g.k,
-                         g.elements_per_sec, b.elements_per_sec,
-                         b.elements_per_sec > 0
-                             ? g.elements_per_sec / b.elements_per_sec
-                             : 0.0);
-          }
-        }
-      }
       std::fclose(f);
     }
   }
@@ -548,12 +473,6 @@ int main(int argc, char** argv) {
   const char* json_path = "BENCH_throughput.json";
   const uint64_t universe = 100000;
 
-  // Legacy rows are measured with every kernel pinned to its scalar
-  // mirror (see the dispatch-policy note in the header comment); only
-  // the simd_batched rows below flip to kAuto, and they restore this
-  // pin before the next configuration runs.
-  simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
-
   std::vector<BenchEntry> entries;
   std::vector<std::pair<int, double>> count_speedups;
   std::vector<std::pair<int, double>> rank_speedups;
@@ -567,19 +486,11 @@ int main(int argc, char** argv) {
           std::pair(stream::SiteSchedule::kSkewedGeometric, "skewed_sites")}) {
       sim::SiteStream sites = stream::MakeCountSites(k, n_count, sched, 7);
       double per_arrival_secs = 0;
-      struct CountPath {
-        const char* name;
-        bool skip;
-        bool grouped;
-      };
-      for (const CountPath& path :
-           {CountPath{"per_arrival", false, false},
-            CountPath{"skip_batched", true, false},
-            CountPath{"grouped_batched", true, true}}) {
-        bool skip = path.skip;
+      for (bool skip : {false, true}) {
         BenchEntry e = TimeConfig(
-            "count", path.name, sched_name, k, n_count, eps, reps,
-            [&] { return MakeCount(Options(k, eps, skip, true, path.grouped)); },
+            "count", skip ? "skip_batched" : "per_arrival", sched_name, k,
+            n_count, eps, reps,
+            [&] { return MakeCount(Options(k, eps, skip)); },
             [&](sim::CountTrackerInterface* t) {
               double t0 = Now();
               auto checkpoints =
@@ -596,8 +507,7 @@ int main(int argc, char** argv) {
         PrintEntry(e);
         if (!skip) {
           per_arrival_secs = e.seconds;
-        } else if (std::strcmp(path.name, "skip_batched") == 0 &&
-                   std::strcmp(sched_name, "uniform") == 0) {
+        } else if (std::strcmp(sched_name, "uniform") == 0) {
           count_speedups.emplace_back(k, per_arrival_secs / e.seconds);
         }
         entries.push_back(e);
@@ -669,19 +579,12 @@ int main(int argc, char** argv) {
         const char* name;
         bool skip;
         bool grouped;
-        bool simd;
       };
-      // simd_batched is the skip_batched configuration re-run under
-      // kAuto dispatch (AVX2 ctrl-group probes in the counter table):
-      // identical stream, identical estimates, only the kernels differ.
       for (const FreqPath& path :
-           {FreqPath{"per_arrival", false, false, false},
-            FreqPath{"skip_batched", true, false, false},
-            FreqPath{"grouped_batched", true, true, false},
-            FreqPath{"simd_batched", true, false, true}}) {
+           {FreqPath{"per_arrival", false, false},
+            FreqPath{"skip_batched", true, false},
+            FreqPath{"grouped_batched", true, true}}) {
         bool skip = path.skip;
-        simd::SetDispatchMode(path.simd ? simd::DispatchMode::kAuto
-                                        : simd::DispatchMode::kForceScalar);
         BenchEntry e = TimeConfig(
             "frequency", path.name, dist_name, k, n_freq, eps, reps,
             [&]() -> std::unique_ptr<sim::FrequencyTrackerInterface> {
@@ -700,11 +603,9 @@ int main(int argc, char** argv) {
                                      static_cast<double>(n_freq);
               return std::pair<double, double>(secs, rel);
             });
-        e.simd = path.simd && simd::Avx2Active() ? 1 : 0;
         PrintEntry(e);
         entries.push_back(e);
       }
-      simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
       // Sharded replay rows. The serial frequency rows above deliver in
       // 64K chunks without checkpoint sampling, so the cluster rows use a
       // huge checkpoint factor (start + end samples only) to compare
@@ -783,27 +684,16 @@ int main(int argc, char** argv) {
         const char* name;
         bool skip;
         bool shared_ladder;
-        bool grouped;
-        bool simd;
       };
       double staged_secs = 0;
-      // simd_batched is the grouped_batched configuration re-run under
-      // kAuto dispatch (register sorts, bitonic gap-merges, merge-path
-      // wire export, leaf-arena flush): identical stream, bit-identical
-      // estimates, only the kernels differ.
       for (const RankPath& path :
-           {RankPath{"per_arrival", false, true, false, false},
-            RankPath{"staged_batched", true, false, false, false},
-            RankPath{"skip_batched", true, true, false, false},
-            RankPath{"grouped_batched", true, true, true, false},
-            RankPath{"simd_batched", true, true, true, true}}) {
-        simd::SetDispatchMode(path.simd ? simd::DispatchMode::kAuto
-                                        : simd::DispatchMode::kForceScalar);
+           {RankPath{"per_arrival", false, true},
+            RankPath{"staged_batched", true, false},
+            RankPath{"skip_batched", true, true}}) {
         BenchEntry e = TimeConfig(
             "rank", path.name, dist_name, k, n_rank, eps, reps,
             [&] {
-              return MakeRank(Options(k, eps, path.skip, path.shared_ladder,
-                                      path.grouped));
+              return MakeRank(Options(k, eps, path.skip, path.shared_ladder));
             },
             [&](sim::RankTrackerInterface* t) {
               double secs = DeliverTimed(
@@ -818,7 +708,6 @@ int main(int argc, char** argv) {
                                      static_cast<double>(n_rank);
               return std::pair<double, double>(secs, rel);
             });
-        e.simd = path.simd && simd::Avx2Active() ? 1 : 0;
         PrintEntry(e);
         if (std::strcmp(path.name, "staged_batched") == 0) {
           staged_secs = e.seconds;
@@ -828,7 +717,6 @@ int main(int argc, char** argv) {
         }
         entries.push_back(e);
       }
-      simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
       // Sharded replay rows (same sparse-sample rationale as frequency).
       for (int threads : {1, 4}) {
         sim::ParallelCluster cluster(threads);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift guard: fail CI when the normative docs fall behind the code.
 
-Four cross-checks, all exact:
+Five cross-checks, all exact:
 
 1. docs/WIRE_PROTOCOL.md's message-type table vs the MsgType enum in
    src/disttrack/sim/wire.h — same names, same values, nothing missing
@@ -25,6 +25,12 @@ Four cross-checks, all exact:
    `tests/service_session_test.cc`) must exist, either from the repo
    root or as the tail of a file path under src/. `<system>` headers are
    not source paths.
+
+5. Option and build-knob names in docs/*.md and README.md vs the code —
+   every backticked option-field name (`use_*`, `auto_*`) and every
+   DISTTRACK_* build option or environment variable a doc names must
+   still occur in src/, bench/ or CMakeLists.txt, so a retired option
+   cannot live on in the docs.
 
 No dependencies beyond the standard library; run from anywhere:
 
@@ -274,6 +280,39 @@ def check_source_paths():
                      f"exist under src/")
 
 
+FENCE_RE = re.compile(r"^```.*?^```", re.S | re.M)
+# Inline code spans may wrap across lines inside a paragraph.
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+OPTION_FIELD_RE = re.compile(r"\b((?:use|auto)_[a-z0-9_]+)\b")
+KNOB_RE = re.compile(r"\bDISTTRACK_[A-Z0-9_]+\b")
+
+
+def doc_option_names(text):
+    """Option fields named in code (fenced blocks and inline spans), plus
+    every DISTTRACK_* token anywhere in the doc."""
+    names = set(KNOB_RE.findall(text))
+    for block in FENCE_RE.findall(text):
+        names.update(OPTION_FIELD_RE.findall(block))
+    for span in CODE_SPAN_RE.findall(FENCE_RE.sub("", text)):
+        names.update(OPTION_FIELD_RE.findall(span))
+    return names
+
+
+def check_option_names():
+    code = [ROOT / "CMakeLists.txt"]
+    for top in ("src", "bench"):
+        code.extend(p for p in (ROOT / top).rglob("*") if p.is_file())
+    code_words = set()
+    for path in code:
+        code_words.update(re.findall(r"\w+", path.read_text(
+            encoding="utf-8", errors="replace")))
+    for doc in SOURCE_DOCS:
+        for name in sorted(doc_option_names(doc.read_text(encoding="utf-8"))):
+            if name not in code_words:
+                fail(f"{doc}: names option `{name}`, which no longer "
+                     f"occurs in src/, bench/ or CMakeLists.txt")
+
+
 def run():
     """All checks; prints a report and returns a process exit code."""
     del errors[:]
@@ -287,13 +326,15 @@ def run():
         check_delivery_paths()
         check_exit_codes()
         check_source_paths()
+        check_option_names()
     if errors:
         for msg in errors:
             print(f"doc-drift: {msg}", file=sys.stderr)
         print(f"doc-drift: {len(errors)} error(s)", file=sys.stderr)
         return 1
     print("doc-drift: wire-protocol table, delivery-paths table, "
-          "exit-code table, and doc source paths all match the source")
+          "exit-code table, doc source paths and doc option names all "
+          "match the source")
     return 0
 
 

@@ -35,10 +35,9 @@ Rules (catalog + rationale: docs/STATIC_ANALYSIS.md):
                    directly or via a checked helper) — the PR 4
                    abort-with-diagnostic invariant.
   simd-isolation   #include <immintrin.h> and _mm*/__m* intrinsic
-                   tokens are confined to common/simd.h — every vector
-                   kernel lives there behind runtime dispatch with a
-                   scalar mirror, so no other file can fork scalar and
-                   SIMD behavior.
+                   tokens are confined to common/simd.h, which holds
+                   none: the library is portable scalar code, so no
+                   file can fork scalar and SIMD behavior.
 
 Suppression: a finding is suppressed by an annotation comment on the
 same line or on the comment block immediately above it:
@@ -656,8 +655,8 @@ def rule_site_check(src):
 
 # ------------------------------------------------ rule: simd-isolation
 
-# The one file allowed to hold intrinsics: every kernel there pairs an
-# AVX2 body with a scalar mirror behind runtime dispatch.
+# The one file allowed to hold intrinsics. It holds none today (only a
+# cpuid stamp), so the rule keeps intrinsics out of the whole tree.
 _SIMD_ISOLATION_ALLOWLIST = {"src/disttrack/common/simd.h"}
 _SIMD_TYPE_RE = re.compile(r"^__m\d")  # __m128i / __m256i / __m512 ...
 
@@ -673,9 +672,9 @@ def rule_simd_isolation(src):
                 or _SIMD_TYPE_RE.match(tok.text):
             findings.append(Finding(
                 src.rel, tok.line, "simd-isolation",
-                f"'{tok.text}' outside common/simd.h — intrinsics live "
-                f"there only, each behind runtime dispatch with a scalar "
-                f"mirror; call the simd:: wrapper instead"))
+                f"'{tok.text}' outside common/simd.h — the library is "
+                f"portable scalar code; a vector kernel must first win "
+                f"outside the noise band and come with a scalar mirror"))
     return findings
 
 # ------------------------------------------------------------- driver

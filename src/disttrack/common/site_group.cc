@@ -15,16 +15,6 @@ void SiteGrouper::BuildSpans(int num_sites, bool keyed) {
   }
 }
 
-void SiteGrouper::CountArrivals(const sim::Arrival* arrivals, size_t count,
-                                int num_sites) {
-  hist_.assign(static_cast<size_t>(num_sites), 0);
-  for (size_t i = 0; i < count; ++i) {
-    sim::CheckSiteInRange(arrivals[i].site, num_sites);
-    ++hist_[static_cast<size_t>(arrivals[i].site)];
-  }
-  BuildSpans(num_sites, /*keyed=*/false);
-}
-
 void SiteGrouper::CountSites(const uint16_t* sites, size_t count,
                              int num_sites) {
   hist_.assign(static_cast<size_t>(num_sites), 0);

@@ -1,5 +1,5 @@
-// Site-grouped batch delivery: the shared permutation layer of the serial
-// grouped engines (count, frequency, rank).
+// Site-grouped batch delivery: the permutation layer of the frequency
+// tracker's grouped engine and of the online sessions (sim/online.h).
 //
 // All per-arrival randomness in the paper's trackers lives in independent
 // per-site coin streams, and the only cross-site coupling is the
@@ -10,16 +10,16 @@
 // and consumes its private RNG at the same per-site offsets — the same
 // contract sim::ParallelCluster exploits, minus the per-element plan walk.
 // Processing one site's span end-to-end keeps that site's working set
-// (counter table, run buffer, ladder, compactor nodes) cache-resident
-// instead of thrashing k of them per cache line of the arrival stream.
+// (counter table) cache-resident instead of thrashing k of them per cache
+// line of the arrival stream.
 //
 // SiteGrouper is the reusable permutation: a stable scatter of one batch
 // into per-site spans, with all scratch pooled across calls (a
-// steady-state replay groups without allocating). Keyed trackers scatter
-// the 8-byte keys in ONE pass over the batch (per-site pooled buffers;
-// the histogram falls out of the buffer sizes, so the broadcast-safety
-// check runs after the scatter and an unsafe chunk wastes only that one
-// pass); the count tracker needs only the histogram — its spans are just
+// steady-state replay groups without allocating). Keyed batches scatter
+// the 8-byte keys in ONE pass (per-site pooled buffers; the histogram
+// falls out of the buffer sizes, so the broadcast-safety check runs
+// after the scatter and an unsafe chunk wastes only that one pass);
+// count site streams need only the histogram — their spans are just
 // counts.
 
 #ifndef DISTTRACK_COMMON_SITE_GROUP_H_
@@ -33,7 +33,7 @@
 
 namespace disttrack {
 
-/// Chunk size of the grouped engines: large enough to amortize the O(k)
+/// Chunk size of the grouped engine: large enough to amortize the O(k)
 /// per-chunk work and the broadcast-safety check, small enough that the
 /// scatter scratch (8 bytes/element keyed) stays cache-resident and an
 /// unsafe chunk's countdown fallback stays fine-grained.
@@ -53,14 +53,9 @@ class SiteGrouper {
     const uint64_t* data = nullptr;
   };
 
-  /// Histogram + spans of a batch, payload left in place — the count
-  /// tracker's whole grouping (its spans are plain counts). Aborts on
-  /// out-of-range site ids (the delivery-path contract of
-  /// sim::CheckSiteInRange).
-  void CountArrivals(const sim::Arrival* arrivals, size_t count,
-                     int num_sites);
-
-  /// CountArrivals over a compact site stream.
+  /// Histogram + spans of a compact site stream (count arrivals carry no
+  /// payload, so spans are plain counts). Aborts on out-of-range site ids
+  /// (the delivery-path contract of sim::CheckSiteInRange).
   void CountSites(const uint16_t* sites, size_t count, int num_sites);
 
   /// One-pass keyed grouping: appends each arrival's key to its site's

@@ -89,7 +89,6 @@ Status MakeOneCount(Algorithm algorithm, const TrackerOptions& options,
       o.confidence_factor = ConfidenceOr(options, kDefaultCountConfidence);
       o.naive_boundary_estimator = options.naive_boundary_estimator;
       o.use_skip_sampling = options.use_skip_sampling;
-      o.use_site_grouping = options.use_site_grouping;
       if (Status s = o.Validate(); !s.ok()) return s;
       *out = std::make_unique<count::RandomizedCountTracker>(o);
       return Status::OK();
@@ -130,15 +129,6 @@ Status MakeOneFrequency(Algorithm algorithm, const TrackerOptions& options,
       o.naive_boundary_estimator = options.naive_boundary_estimator;
       o.virtual_site_split = options.virtual_site_split;
       o.use_skip_sampling = options.use_skip_sampling;
-      o.use_flat_counters = options.use_flat_counters;
-      // The umbrella flag feeds the eps-aware AUTO gate rather than
-      // forcing the grouped engine: grouped frequency delivery measures
-      // slower at cache-resident table sizes and faster once the
-      // counter working set outgrows the cache, and the gate decides
-      // which regime (ε, k, c) is in at construction (see
-      // frequency::RandomizedFrequencyOptions::auto_site_grouping).
-      // Force it via the frequency-specific options for A/B runs.
-      o.auto_site_grouping = options.use_site_grouping;
       if (Status s = o.Validate(); !s.ok()) return s;
       *out = std::make_unique<frequency::RandomizedFrequencyTracker>(o);
       return Status::OK();
@@ -179,7 +169,6 @@ Status MakeOneRank(Algorithm algorithm, const TrackerOptions& options,
       o.use_skip_sampling = options.use_skip_sampling;
       o.use_batch_compaction = options.use_batch_compaction;
       o.use_shared_ladder = options.use_shared_ladder;
-      o.use_site_grouping = options.use_site_grouping;
       if (Status s = o.Validate(); !s.ok()) return s;
       *out = std::make_unique<rank::RandomizedRankTracker>(o);
       return Status::OK();

@@ -59,13 +59,6 @@ struct TrackerOptions {
   /// kept for A/B benchmarking (bench_throughput) and equivalence tests.
   bool use_skip_sampling = true;
 
-  /// When true (default) the randomized frequency tracker stores each
-  /// site's sticky counter list in a flat open-addressing table
-  /// (frequency/counter_table.h); false keeps the historical
-  /// std::unordered_map store. Estimates are unaffected either way (the
-  /// store holds no randomness); kept for A/B benchmarking.
-  bool use_flat_counters = true;
-
   /// When true (default) the randomized rank tracker feeds batched
   /// arrivals to its compactor tree via CompactorSummary::InsertBatch —
   /// equivalent in distribution (same mean-zero ±2^level martingale, see
@@ -81,23 +74,6 @@ struct TrackerOptions {
   /// rounds either way (pinned by tests/batch_equivalence_test.cc); kept
   /// for A/B benchmarking.
   bool use_shared_ladder = true;
-
-  /// When true (default) the randomized count and rank trackers' batch
-  /// delivery paths permute each chunk into site-contiguous spans
-  /// whenever the chunk provably contains no coarse broadcast (see
-  /// CoarseTracker::BatchCannotBroadcast) and feed whole per-site spans —
-  /// cache-resident per-site state, span-level event gaps. Per-site coin
-  /// streams and event positions are unchanged, so every estimate,
-  /// communication word, round, and split count is bit-identical to the
-  /// event-countdown engines (pinned by tests/batch_equivalence_test.cc);
-  /// chunks that may broadcast fall back to those engines. False keeps
-  /// the countdown engines everywhere (A/B benchmarking). For the
-  /// frequency tracker this flag arms the eps-aware AUTO gate instead of
-  /// forcing the engine: grouped delivery only wins once the sticky-
-  /// counter working set outgrows cache residency, which is a static
-  /// function of (ε, k, c), so the tracker decides at construction (see
-  /// frequency::RandomizedFrequencyOptions::auto_site_grouping).
-  bool use_site_grouping = true;
 
   Status Validate() const;
 };

@@ -62,8 +62,9 @@ class CoarseTracker {
 
   /// True iff a batch delivering `histogram[i]` arrivals to site i cannot
   /// trigger a broadcast — under ANY interleaving of the sites. This is
-  /// the safety gate of the site-grouped delivery engines
-  /// (common/site_group.h), and it is EXACT for carry-free batches:
+  /// the safety gate of the frequency tracker's site-grouped delivery
+  /// engine (common/site_group.h) and the tested reference for
+  /// sim::CoarseMirror::CannotBroadcast, and it is EXACT:
   ///
   /// A site's reports fire at fixed local counts (the power-of-two
   /// doubling thresholds), so the set of reports the batch produces — and
@@ -73,23 +74,12 @@ class CoarseTracker {
   /// of two <= count_i + h_i. A broadcast needs n' >= max(1, 2 n̄) at
   /// some report; n' is nondecreasing and only moves at reports, so the
   /// batch broadcasts iff the final n' reaches the threshold.
-  ///
-  /// `carry[i]`, when non-null, counts arrivals already delivered to
-  /// site i but not yet advanced through this tracker (the rank engine
-  /// buffers eventless runs across chunk boundaries); they may be fed
-  /// during the batch, so a site receiving new arrivals is projected
-  /// over histogram[i] + carry[i]. A site with histogram[i] == 0 is not
-  /// touched by the batch at all — its carry stays unfed and is ignored.
-  /// With carry the test is an upper bound (the batch may end before
-  /// feeding everything), which can only cause a harmless fallback.
-  bool BatchCannotBroadcast(const uint32_t* histogram,
-                            const uint64_t* carry = nullptr) const {
+  bool BatchCannotBroadcast(const uint32_t* histogram) const {
     uint64_t projected = n_prime_;
     uint64_t limit = 2 * n_bar_ > 1 ? 2 * n_bar_ : 1;
     for (size_t i = 0; i < local_.size(); ++i) {
       uint64_t h = histogram[i];
       if (h == 0) continue;
-      if (carry != nullptr) h += carry[i];
       const SiteState& s = local_[i];
       uint64_t final_count = s.count + h;
       if (final_count >= s.next_report) {

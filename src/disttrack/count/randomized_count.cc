@@ -60,16 +60,6 @@ double RandomizedCountTracker::p() const {
 }
 
 void RandomizedCountTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
-  if (grouped_chunk_active_) {
-    // CoarseTracker::BatchCannotBroadcast certified this chunk; a
-    // broadcast here means grouped processing already reordered arrivals
-    // across it — abort instead of silently diverging from the serial
-    // coin streams.
-    std::fprintf(stderr,
-                 "RandomizedCountTracker: broadcast inside a grouped chunk "
-                 "— the broadcast-safety bound is wrong\n");
-    std::abort();
-  }
   uint64_t new_inv_p = InvPFor(n_bar);
   bool halved = inv_p_ < new_inv_p;
   while (inv_p_ < new_inv_p) {
@@ -358,9 +348,18 @@ void RandomizedCountTracker::HandleEventArrival(int site) {
   RearmSite(site);
 }
 
-void RandomizedCountTracker::CountdownBatch(const sim::Arrival* arrivals,
-                                            size_t count) {
-  // Event-countdown engine: one decrement per eventless arrival.
+void RandomizedCountTracker::ArriveBatch(const sim::Arrival* arrivals,
+                                         size_t count) {
+  if (!options_.use_skip_sampling) {
+    for (size_t i = 0; i < count; ++i) {
+      sim::CheckSiteInRange(arrivals[i].site, options_.num_sites);
+      ArriveOne(arrivals[i].site);
+    }
+    return;
+  }
+  // Event-countdown engine: one decrement per eventless arrival. n_ is
+  // advanced up front; nothing inside the batch reads it.
+  n_ += count;
   in_batch_ = true;
   RearmAll();
   uint32_t* until = countdown_.until();
@@ -373,8 +372,16 @@ void RandomizedCountTracker::CountdownBatch(const sim::Arrival* arrivals,
   in_batch_ = false;
 }
 
-void RandomizedCountTracker::CountdownSites(const uint16_t* sites,
-                                            size_t count) {
+void RandomizedCountTracker::ArriveSites(const uint16_t* sites,
+                                         size_t count) {
+  if (!options_.use_skip_sampling) {
+    for (size_t i = 0; i < count; ++i) {
+      sim::CheckSiteInRange(sites[i], options_.num_sites);
+      ArriveOne(sites[i]);
+    }
+    return;
+  }
+  n_ += count;
   in_batch_ = true;
   RearmAll();
   uint32_t* until = countdown_.until();
@@ -387,95 +394,6 @@ void RandomizedCountTracker::CountdownSites(const uint16_t* sites,
   }
   ResyncAllMidBatch();
   in_batch_ = false;
-}
-
-// Count arrivals carry no payload, so a site's slice of a broadcast-free
-// chunk is just a number: advance counter, coin process, and coarse
-// tracker in eventless bulk, replaying each event arrival (coarse report
-// or coin success) through the exact scalar order. The per-site coin
-// stream is consumed at the same offsets as the countdown engine, and all
-// cross-site coordinator effects inside the chunk are order-insensitive
-// sums (reports fold into n' and the estimator's aggregates; the
-// broadcast condition provably cannot trip), so the permutation is
-// bit-invisible.
-void RandomizedCountTracker::GroupedRun(int site, uint64_t count) {
-  SiteRun(site, count, [this](int event_site) {
-    // The event arrival, in scalar order: coarse first, then the coin.
-    SiteState& s = sites_[static_cast<size_t>(event_site)];
-    ++s.count;
-    coarse_->Arrive(event_site);
-    if (s.skip.Next(&s.rng)) Report(event_site);
-    return true;
-  });
-}
-
-void RandomizedCountTracker::ArriveBatch(const sim::Arrival* arrivals,
-                                         size_t count) {
-  if (!options_.use_skip_sampling) {
-    for (size_t i = 0; i < count; ++i) {
-      sim::CheckSiteInRange(arrivals[i].site, options_.num_sites);
-      ArriveOne(arrivals[i].site);
-    }
-    return;
-  }
-  // n_ is advanced up front; nothing inside the batch reads it.
-  n_ += count;
-  if (!options_.use_site_grouping) {
-    CountdownBatch(arrivals, count);
-    return;
-  }
-  // Count arrivals cost ~1 cycle each, so the per-chunk work (histogram
-  // reset, span build, safety check) is amortized over a larger chunk
-  // than the keyed engines use; there is no scatter scratch to keep
-  // cache-resident here.
-  constexpr size_t kCountChunk = kSiteGroupChunk * 4;
-  size_t pos = 0;
-  while (pos < count) {
-    size_t len = std::min(kCountChunk, count - pos);
-    grouper_.CountArrivals(arrivals + pos, len, options_.num_sites);
-    if (coarse_->BatchCannotBroadcast(grouper_.histogram())) {
-      grouped_chunk_active_ = true;
-      for (const SiteGrouper::Span& span : grouper_.spans()) {
-        GroupedRun(span.site, span.length);
-      }
-      grouped_chunk_active_ = false;
-    } else {
-      CountdownBatch(arrivals + pos, len);
-    }
-    pos += len;
-  }
-}
-
-void RandomizedCountTracker::ArriveSites(const uint16_t* sites,
-                                         size_t count) {
-  if (!options_.use_skip_sampling) {
-    for (size_t i = 0; i < count; ++i) {
-      sim::CheckSiteInRange(sites[i], options_.num_sites);
-      ArriveOne(sites[i]);
-    }
-    return;
-  }
-  n_ += count;
-  if (!options_.use_site_grouping) {
-    CountdownSites(sites, count);
-    return;
-  }
-  constexpr size_t kCountChunk = kSiteGroupChunk * 4;
-  size_t pos = 0;
-  while (pos < count) {
-    size_t len = std::min(kCountChunk, count - pos);
-    grouper_.CountSites(sites + pos, len, options_.num_sites);
-    if (coarse_->BatchCannotBroadcast(grouper_.histogram())) {
-      grouped_chunk_active_ = true;
-      for (const SiteGrouper::Span& span : grouper_.spans()) {
-        GroupedRun(span.site, span.length);
-      }
-      grouped_chunk_active_ = false;
-    } else {
-      CountdownSites(sites + pos, len);
-    }
-    pos += len;
-  }
 }
 
 void RandomizedCountTracker::ShardEpochBegin(uint64_t arrivals_in_epoch) {

@@ -37,7 +37,6 @@
 
 #include "disttrack/common/event_countdown.h"
 #include "disttrack/common/random.h"
-#include "disttrack/common/site_group.h"
 #include "disttrack/common/skip_sampler.h"
 #include "disttrack/common/status.h"
 #include "disttrack/count/coarse_tracker.h"
@@ -70,16 +69,6 @@ struct RandomizedCountOptions {
   /// arrival. False selects the historical one-RNG-draw-per-arrival path
   /// (kept for A/B benchmarking and equivalence tests).
   bool use_skip_sampling = true;
-
-  /// When true (default), the batch paths histogram each chunk by site
-  /// and, whenever the chunk provably contains no coarse broadcast
-  /// (CoarseTracker::BatchCannotBroadcast), advance every site by its
-  /// whole per-chunk arrival count in one event-driven run — O(k +
-  /// events) per chunk instead of a countdown decrement per element.
-  /// Bit-identical to the countdown engine (per-site coin streams and
-  /// event positions are site-local); unsafe chunks fall back to it.
-  /// False keeps the countdown engine everywhere (A/B benchmarking).
-  bool use_site_grouping = true;
 
   Status Validate() const;
 };
@@ -213,11 +202,11 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   // (RearmSite) and the shard run loop, so the two delivery paths cannot
   // drift apart.
   uint64_t NextEventGap(int site) const;
-  // The per-site run loop shared by GroupedRun, ShardArriveRun and
-  // ReplayCrashRun: retires the eventless prefix before each event in
-  // bulk (count, coin failures, coarse count), then hands the event
-  // arrival, untouched, to `on_event(site)`; a false return ends the run
-  // after that arrival. Returns the arrivals absorbed.
+  // The per-site run loop shared by ShardArriveRun and ReplayCrashRun:
+  // retires the eventless prefix before each event in bulk (count, coin
+  // failures, coarse count), then hands the event arrival, untouched, to
+  // `on_event(site)`; a false return ends the run after that arrival.
+  // Returns the arrivals absorbed.
   template <typename OnEvent>
   uint64_t SiteRun(int site, uint64_t count, OnEvent&& on_event);
   void RearmSite(int site);
@@ -225,16 +214,6 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   void SyncEventless(int site, uint64_t consumed);
   void HandleEventArrival(int site);
   void ResyncAllMidBatch();
-  // Countdown-engine chunk bodies (the pre-grouping ArriveBatch /
-  // ArriveSites loops), used directly when use_site_grouping is off and
-  // as the fallback for chunks that may broadcast.
-  void CountdownBatch(const sim::Arrival* arrivals, size_t count);
-  void CountdownSites(const uint16_t* sites, size_t count);
-  // Advances `site` by its whole slice of a certified broadcast-free
-  // chunk: eventless stretches retire in bulk, events replay the scalar
-  // path — the per-site projection of the countdown engine, without the
-  // per-element decrement.
-  void GroupedRun(int site, uint64_t count);
 
   RandomizedCountOptions options_;
   sim::CommMeter meter_;
@@ -267,10 +246,6 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   // Batch fast-path countdowns (meaningful only while in_batch_).
   EventCountdown countdown_;
   bool in_batch_ = false;
-  // Site-grouped delivery scratch + the broadcast-inside-grouped-chunk
-  // abort guard (see OnBroadcast).
-  SiteGrouper grouper_;
-  bool grouped_chunk_active_ = false;
 };
 
 }  // namespace count

@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "disttrack/common/math_util.h"
-#include "disttrack/common/ordered_drain.h"
 
 namespace disttrack {
 namespace frequency {
@@ -50,10 +49,10 @@ RandomizedFrequencyTracker::RandomizedFrequencyTracker(
   // or auto-selected when the projected aggregate counter working set —
   // k sites × ~c/(ε√k) live entries × one 16-byte slot at ~0.5 load —
   // cannot stay cache-resident under interleaved delivery. The grouped
-  // engine needs the skip + flat-counter fast paths either way.
+  // engine needs the skip-sampling fast path either way.
   grouped_enabled_ = options_.use_site_grouping;
   if (!grouped_enabled_ && options_.auto_site_grouping &&
-      options_.use_skip_sampling && options_.use_flat_counters) {
+      options_.use_skip_sampling) {
     double per_site_entries =
         options_.confidence_factor /
         (options_.epsilon * std::sqrt(static_cast<double>(options_.num_sites)));
@@ -127,19 +126,6 @@ void RandomizedFrequencyTracker::FoldRound() {
   live_index_.Clear();
 }
 
-size_t RandomizedFrequencyTracker::CounterCount(const SiteState& s) const {
-  return options_.use_flat_counters ? s.counters.size()
-                                    : s.legacy_counters.size();
-}
-
-void RandomizedFrequencyTracker::ClearCounters(SiteState* s) {
-  if (options_.use_flat_counters) {
-    s->counters.Clear();
-  } else {
-    s->legacy_counters.clear();
-  }
-}
-
 void RandomizedFrequencyTracker::OnBroadcast(uint64_t /*round*/,
                                              uint64_t n_bar) {
   if (grouped_chunk_active_) {
@@ -165,7 +151,7 @@ void RandomizedFrequencyTracker::OnBroadcast(uint64_t /*round*/,
       1, n_bar / static_cast<uint64_t>(options_.num_sites));
   for (int i = 0; i < options_.num_sites; ++i) {
     SiteState& s = sites_[static_cast<size_t>(i)];
-    ClearCounters(&s);
+    s.counters.Clear();
     s.round_arrivals = 0;
     s.instance = NewInstanceId(i, &s);
     if (options_.use_skip_sampling) {
@@ -185,7 +171,7 @@ void RandomizedFrequencyTracker::UpdateSpace(int site) {
   // round arrival counter, 1/p copy, split threshold, and the two skip
   // countdowns. The flat table is charged at its live population — the
   // algorithm's state — not its physical capacity.
-  space_.Set(site, 2 * CounterCount(s) + 6);
+  space_.Set(site, 2 * s.counters.size() + 6);
 }
 
 // Serial coordinator port: effects apply in place, exactly the historical
@@ -298,7 +284,7 @@ inline void RandomizedFrequencyTracker::ProcessArrivalImpl(int site,
   if (options_.virtual_site_split &&
       s.round_arrivals >= split_threshold_) {
     port.SplitNotify(site);
-    ClearCounters(&s);
+    s.counters.Clear();
     s.instance = NewInstanceId(site, &s);
     s.round_arrivals = 0;
     UpdateSpace(site);
@@ -322,30 +308,13 @@ inline void RandomizedFrequencyTracker::ProcessArrivalImpl(int site,
   // Counter-list channel. The probe is only needed to route a hit and to
   // increment an existing counter; misses on untracked items touch no
   // coordinator state.
-  uint64_t fresh_value = 0;
-  bool tracked;
-  if (options_.use_flat_counters) {
-    if (uint64_t* value = s.counters.Find(item)) {
-      tracked = true;
-      fresh_value = ++*value;
-    } else {
-      tracked = false;
-    }
-  } else {
-    auto it = s.legacy_counters.find(item);
-    tracked = it != s.legacy_counters.end();
-    if (tracked) fresh_value = ++it->second;
-  }
-  if (tracked) {
+  if (uint64_t* value = s.counters.Find(item)) {
+    uint64_t fresh_value = ++*value;
     if (counter_hit) {
       port.CounterReport(site, item, s.instance, fresh_value);
     }
   } else if (counter_hit) {
-    if (options_.use_flat_counters) {
-      s.counters.Insert(item, 1);
-    } else {
-      s.legacy_counters.emplace(item, 1);
-    }
+    s.counters.Insert(item, 1);
     // Setting cbar supersedes any sampled copies d of this instance: the
     // estimator reads d only while cbar == 0.
     port.CounterReport(site, item, s.instance, 1);
@@ -528,7 +497,6 @@ void RandomizedFrequencyTracker::HandleEventArrival(int site, uint64_t item) {
   RearmSite(site);
 }
 
-template <bool kFlat>
 void RandomizedFrequencyTracker::RunBatch(const sim::Arrival* arrivals,
                                           size_t count) {
   // Event-countdown engine: an eventless arrival costs one decrement plus
@@ -547,13 +515,7 @@ void RandomizedFrequencyTracker::RunBatch(const sim::Arrival* arrivals,
     } else {
       // Tracked items must count every arrival; only reports are coin-
       // gated, so the eventless path is probe + maybe-increment.
-      if constexpr (kFlat) {
-        sites_[static_cast<size_t>(site)].counters.IncrementIfTracked(item);
-      } else {
-        auto& store = sites_[static_cast<size_t>(site)].legacy_counters;
-        auto it = store.find(item);
-        if (it != store.end()) ++it->second;
-      }
+      sites_[static_cast<size_t>(site)].counters.IncrementIfTracked(item);
     }
   }
   ResyncAllMidBatch();
@@ -571,12 +533,8 @@ void RandomizedFrequencyTracker::ArriveBatch(const sim::Arrival* arrivals,
     }
     return;
   }
-  if (!options_.use_flat_counters) {
-    RunBatch<false>(arrivals, count);
-    return;
-  }
   if (!grouped_enabled_) {
-    RunBatch<true>(arrivals, count);
+    RunBatch(arrivals, count);
     return;
   }
   // Site-grouped delivery: a chunk certified broadcast-free is permuted
@@ -599,7 +557,7 @@ void RandomizedFrequencyTracker::ArriveBatch(const sim::Arrival* arrivals,
       }
       grouped_chunk_active_ = false;
     } else {
-      RunBatch<true>(arrivals + pos, len);
+      RunBatch(arrivals + pos, len);
     }
     pos += len;
   }
@@ -659,19 +617,11 @@ void RandomizedFrequencyTracker::SerializeSiteState(
   // The sticky counter list. Physical table order is not meaningful;
   // restore rebuilds by Insert, which yields an observably identical
   // store regardless of layout.
-  if (options_.use_flat_counters) {
-    out->push_back(s.counters.size());
-    s.counters.ForEach([out](uint64_t key, uint64_t value) {
-      out->push_back(key);
-      out->push_back(value);
-    });
-  } else {
-    out->push_back(s.legacy_counters.size());
-    for (const auto& kv : common::SortedItems(s.legacy_counters)) {
-      out->push_back(kv.first);
-      out->push_back(kv.second);
-    }
-  }
+  out->push_back(s.counters.size());
+  s.counters.ForEach([out](uint64_t key, uint64_t value) {
+    out->push_back(key);
+    out->push_back(value);
+  });
 }
 
 void RandomizedFrequencyTracker::RestoreSiteState(
@@ -695,16 +645,12 @@ void RandomizedFrequencyTracker::RestoreSiteState(
   uint64_t rng_state[4];
   for (int j = 0; j < 4; ++j) rng_state[j] = blob[i++];
   s.rng.RestoreState(rng_state);
-  ClearCounters(&s);
+  s.counters.Clear();
   uint64_t counters = blob[i++];
   for (uint64_t j = 0; j < counters; ++j) {
     uint64_t key = blob[i++];
     uint64_t value = blob[i++];
-    if (options_.use_flat_counters) {
-      s.counters.Insert(key, value);
-    } else {
-      s.legacy_counters.emplace(key, value);
-    }
+    s.counters.Insert(key, value);
   }
   UpdateSpace(site);
 }
@@ -744,7 +690,7 @@ void RandomizedFrequencyTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
   split_threshold_ = std::max<uint64_t>(
       1, n_bar / static_cast<uint64_t>(options_.num_sites));
   SiteState& s = sites_[static_cast<size_t>(site)];
-  ClearCounters(&s);
+  s.counters.Clear();
   s.round_arrivals = 0;
   s.instance = NewInstanceId(site, &s);
   if (options_.use_skip_sampling) {

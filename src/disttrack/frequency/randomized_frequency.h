@@ -28,9 +28,9 @@
 // channel, coarse reports, virtual-site splits) an arrival costs one
 // countdown decrement plus the table probe, with the two skip channels,
 // the round-arrival counter, and the coarse tracker reconciled in bulk at
-// each event. Both fast paths keep their historical counterparts
-// reachable (`use_skip_sampling`, `use_flat_counters`) for A/B runs; the
-// batch engine consumes the RNG exactly as per-element Arrive() does, so
+// each event. The per-arrival coin path stays reachable
+// (`use_skip_sampling`) as the statistical reference; the batch engine
+// consumes the RNG exactly as per-element Arrive() does, so
 // batch-vs-scalar is bit-identical (batch_equivalence_test).
 
 #ifndef DISTTRACK_FREQUENCY_RANDOMIZED_FREQUENCY_H_
@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "disttrack/common/event_countdown.h"
@@ -77,14 +76,8 @@ struct RandomizedFrequencyOptions {
   /// False selects the historical per-arrival coin path.
   bool use_skip_sampling = true;
 
-  /// When true (default), each site's sticky counter list is the flat
-  /// open-addressing CounterTable; false keeps the historical
-  /// std::unordered_map store for A/B runs. The store holds no
-  /// randomness, so the choice never changes estimates.
-  bool use_flat_counters = true;
-
-  /// When true (requires the two fast paths above), ArriveBatch permutes
-  /// each chunk into site-contiguous spans whenever the chunk provably
+  /// When true (requires skip sampling), ArriveBatch permutes each
+  /// chunk into site-contiguous spans whenever the chunk provably
   /// contains no coarse broadcast and walks each span against that
   /// site's counter table in one batched pass (table invariants hoisted,
   /// four-lane probe pipelining, key-run dedup); coordinator effects
@@ -94,11 +87,11 @@ struct RandomizedFrequencyOptions {
   /// event-countdown engine — which remains the fallback for chunks that
   /// may broadcast.
   ///
-  /// Default FALSE, unlike count and rank: on the reference container
-  /// the per-site tables the split threshold allows are small enough to
-  /// be cache-resident even interleaved, so the scatter pass buys no
-  /// probe locality and costs ~5-10% net (the grouped_batched bench rows
-  /// record the A/B). The engine is bit-identical and fully tested; true
+  /// Default FALSE: on the reference container the per-site tables the
+  /// split threshold allows are usually small enough to be
+  /// cache-resident even interleaved, so the scatter pass buys no probe
+  /// locality and costs 6-27% net (the grouped_batched bench rows record
+  /// the A/B); the auto gate below turns it on where it wins. True
   /// forces it on regardless of table size (A/B runs).
   bool use_site_grouping = false;
 
@@ -148,8 +141,7 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   /// coordinator's aggregation state evolves bit-identically to the
   /// serial execution without global-index bookkeeping.
   sim::KeyedShardIngest* shard_ingest() override {
-    return options_.use_skip_sampling && options_.use_flat_counters ? this
-                                                                    : nullptr;
+    return options_.use_skip_sampling ? this : nullptr;
   }
 
   /// Current sampling probability p.
@@ -196,8 +188,7 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
     uint64_t instance = 0;      // current virtual-site id (globally unique)
     uint32_t instance_seq = 0;  // per-site sequence the id is minted from
     uint64_t round_arrivals = 0;
-    CounterTable counters;  // L_i (use_flat_counters, the default)
-    std::unordered_map<uint64_t, uint64_t> legacy_counters;  // A/B store
+    CounterTable counters;  // L_i
     // One skip channel per independent per-arrival coin: the counter
     // channel (create-or-re-report) and the sampling channel (d_ij).
     SkipSampler counter_skip;
@@ -276,8 +267,6 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
     return (static_cast<uint64_t>(site) << 32) |
            static_cast<uint64_t>(s->instance_seq++);
   }
-  size_t CounterCount(const SiteState& s) const;
-  void ClearCounters(SiteState* s);
 
   // --- Sharded replay (sim::KeyedShardIngest) ----------------------------
   void ShardEpochBegin(uint64_t arrivals_in_epoch) override;
@@ -331,7 +320,6 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
 
   // Batched fast path on the shared EventCountdown engine; see
   // common/event_countdown.h for the reconciliation contract.
-  template <bool kFlat>
   void RunBatch(const sim::Arrival* arrivals, size_t count);
   // Arrivals at `site` until its next event (coin success on either
   // channel, coarse report, or virtual-site split) — the single source

@@ -151,15 +151,6 @@ void RandomizedRankTracker::StartFreshInstance(SiteState* s) {
 }
 
 void RandomizedRankTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
-  if (grouped_chunk_active_) {
-    // CoarseTracker::BatchCannotBroadcast certified this chunk; a
-    // broadcast here means site-grouped processing already reordered
-    // arrivals across it, so the replay silently diverged — abort loudly.
-    std::fprintf(stderr,
-                 "RandomizedRankTracker: broadcast inside a grouped chunk "
-                 "— the broadcast-safety bound is wrong\n");
-    std::abort();
-  }
   // Mid-batch, every site's buffered eventless run belongs to the closing
   // round: feed it into the current nodes (which the restart below then
   // discards, exactly as the scalar path discards mid-leaf state — those
@@ -706,11 +697,7 @@ uint64_t RandomizedRankTracker::NextEventGap(int site) const {
 }
 
 void RandomizedRankTracker::RearmSite(int site) {
-  // The site's run buffer may already hold eventless arrivals carried
-  // over from a grouped chunk of the same batch; they count against the
-  // gap (the authoritative counters advance only when the run is fed).
-  countdown_.Arm(site, NextEventGap(site) -
-                           sites_[static_cast<size_t>(site)].run.size());
+  countdown_.Arm(site, NextEventGap(site));
 }
 
 void RandomizedRankTracker::RearmAll() {
@@ -810,51 +797,6 @@ void RandomizedRankTracker::HandleEventArrival(int site) {
   RearmSite(site);
 }
 
-void RandomizedRankTracker::CountdownChunk(const sim::Arrival* arrivals,
-                                           size_t count) {
-  // Event-countdown engine: an eventless arrival costs one decrement plus
-  // one buffered value. Buffered runs carry across chunk boundaries; the
-  // batch-end flush reconciles them.
-  in_batch_ = true;
-  RearmAll();
-  uint32_t* until = countdown_.until();
-  for (size_t i = 0; i < count; ++i) {
-    int site = arrivals[i].site;
-    sim::CheckSiteInRange(site, options_.num_sites);
-    sites_[static_cast<size_t>(site)].run.push_back(arrivals[i].key);
-    if (--until[site] == 0) HandleEventArrival(site);
-  }
-  in_batch_ = false;
-}
-
-// One site's span of a certified broadcast-free chunk. Mirrors the
-// countdown engine's per-site projection exactly: eventless arrivals
-// accumulate in the site's run buffer (fed at the next event or the
-// batch-end flush — the same boundaries the countdown engine feeds at,
-// so the ladder/compaction schedule and the site's RNG consumption are
-// identical), and each event arrival replays the scalar path.
-void RandomizedRankTracker::GroupedSpan(int site, const uint64_t* keys,
-                                        size_t count) {
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  size_t pos = 0;
-  while (pos < count) {
-    // Arrivals until the site's next event, net of what is already
-    // buffered (the authoritative counters advance only at feed time).
-    uint64_t to_event = NextEventGap(site) - s.run.size();
-    uint64_t avail = count - pos;
-    if (avail < to_event) {
-      s.run.insert(s.run.end(), keys + pos, keys + pos + avail);
-      return;
-    }
-    s.run.insert(s.run.end(), keys + pos, keys + pos + (to_event - 1));
-    pos += static_cast<size_t>(to_event);
-    uint64_t event_value = keys[pos - 1];
-    FeedRun(site, &s.run, s.run.size());
-    s.run.clear();
-    ProcessArrival(site, event_value);
-  }
-}
-
 void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
                                         size_t count) {
   if (!options_.use_skip_sampling || !options_.use_batch_compaction) {
@@ -872,39 +814,18 @@ void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
   // (shard epochs never enter here), so message order inside the batch is
   // unobservable and the charges fold into one bulk post per site.
   defer_uploads_ = tap_ == nullptr && !crash_replay_;
-  if (!options_.use_site_grouping) {
-    CountdownChunk(arrivals, count);
-  } else {
-    // Site-grouped delivery: chunks certified broadcast-free are permuted
-    // into site-contiguous spans and fed span-at-a-time (cache-resident
-    // per-site state); chunks that may broadcast run through the countdown
-    // engine unchanged. Either way runs feed at the same boundaries, so
-    // the two engines interleave bit-identically.
-    size_t pos = 0;
-    while (pos < count) {
-      size_t len = std::min(kSiteGroupChunk, count - pos);
-      grouper_.ScatterBySite(arrivals + pos, len, options_.num_sites);
-      // Eventless runs buffered from earlier chunks of this batch have not
-      // advanced the coarse tracker yet; this chunk's events may feed them
-      // through it, so they count against the broadcast projection.
-      run_carry_.resize(static_cast<size_t>(options_.num_sites));
-      for (int i = 0; i < options_.num_sites; ++i) {
-        run_carry_[static_cast<size_t>(i)] =
-            sites_[static_cast<size_t>(i)].run.size();
-      }
-      if (coarse_->BatchCannotBroadcast(grouper_.histogram(),
-                                        run_carry_.data())) {
-        grouped_chunk_active_ = true;
-        for (const SiteGrouper::Span& span : grouper_.spans()) {
-          GroupedSpan(span.site, span.data, span.length);
-        }
-        grouped_chunk_active_ = false;
-      } else {
-        CountdownChunk(arrivals + pos, len);
-      }
-      pos += len;
-    }
+  // Event-countdown engine: an eventless arrival costs one decrement plus
+  // one buffered value; the batch-end flush reconciles the buffered runs.
+  in_batch_ = true;
+  RearmAll();
+  uint32_t* until = countdown_.until();
+  for (size_t i = 0; i < count; ++i) {
+    int site = arrivals[i].site;
+    sim::CheckSiteInRange(site, options_.num_sites);
+    sites_[static_cast<size_t>(site)].run.push_back(arrivals[i].key);
+    if (--until[site] == 0) HandleEventArrival(site);
   }
+  in_batch_ = false;
   FlushBufferedRuns();
   defer_uploads_ = false;
   FlushDeferredUploads();

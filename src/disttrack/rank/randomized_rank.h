@@ -48,7 +48,6 @@
 
 #include "disttrack/common/event_countdown.h"
 #include "disttrack/common/random.h"
-#include "disttrack/common/site_group.h"
 #include "disttrack/common/skip_sampler.h"
 #include "disttrack/common/status.h"
 #include "disttrack/count/coarse_tracker.h"
@@ -97,16 +96,6 @@ struct RandomizedRankOptions {
   /// only the merge work is shared. False keeps the historical per-level
   /// staging for A/B runs.
   bool use_shared_ladder = true;
-
-  /// When true (default), ArriveBatch permutes each chunk into
-  /// site-contiguous spans (common/site_group.h) whenever the chunk
-  /// provably contains no coarse broadcast, and feeds whole spans per
-  /// site — same per-site coin streams, same event boundaries, so the
-  /// grouped path is bit-identical to the event-countdown path (pinned
-  /// by tests/batch_equivalence_test.cc). Chunks that may broadcast fall
-  /// back to the countdown engine. False keeps the countdown engine for
-  /// every chunk (A/B benchmarking).
-  bool use_site_grouping = true;
 
   Status Validate() const;
 };
@@ -321,14 +310,6 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // end — the two points where the per-element execution would also have
   // everything reconciled.
   void FlushBufferedRuns();
-  // One chunk through the event-countdown engine (buffered runs carry
-  // across chunk boundaries; the final flush happens at batch end).
-  void CountdownChunk(const sim::Arrival* arrivals, size_t count);
-  // One site's span of a broadcast-free grouped chunk: buffers eventless
-  // arrivals into the site's run (deferring the feed to the next event or
-  // the batch end, exactly like the countdown engine) and processes event
-  // arrivals through the scalar path.
-  void GroupedSpan(int site, const uint64_t* keys, size_t count);
   std::unique_ptr<summaries::CompactorSummary> AcquireNode(SiteState* s,
                                                            int level);
   // Shared-ladder plumbing. EnsureNodes creates any missing level node in
@@ -434,15 +415,6 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
 
   EventCountdown countdown_;
   bool in_batch_ = false;
-  // Site-grouped delivery (use_site_grouping): pooled permutation scratch
-  // plus a guard that turns a broadcast inside a supposedly
-  // broadcast-free grouped chunk into a loud abort instead of a silent
-  // equivalence break.
-  SiteGrouper grouper_;
-  bool grouped_chunk_active_ = false;
-  // Per-site buffered-run sizes handed to the broadcast-safety check
-  // (scratch, refilled per chunk).
-  std::vector<uint64_t> run_carry_;
 };
 
 }  // namespace rank

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "disttrack/common/simd.h"
+#include "disttrack/common/small_sort.h"
 
 namespace disttrack {
 namespace summaries {
@@ -23,13 +23,9 @@ size_t CapacityFor(double eps) {
 
 // Accessors for the virtual-cascade get contract: At(i) is element i of
 // a fully sorted logical sequence, and Gather(offset, stride, count,
-// out) materializes the strided slice the cascade keeps. Gather is where
-// the vector work lands — the two-view accessor batches its merge-path
-// selections four lanes at a time through simd::TwoViewSelect4 (masked
-// gather-based binary search under AVX2 dispatch, scalar mirror
-// otherwise) instead of one log-time scalar search per element. All
-// routes keep the selected values exact, so dispatch can never change a
-// tracker estimate (tier A).
+// out) materializes the strided slice the cascade keeps. All routes keep
+// the selected values exact, so the accessor can never change a tracker
+// estimate.
 
 // A bare sorted array.
 struct DirectGet {
@@ -42,26 +38,16 @@ struct DirectGet {
 };
 
 // The merge of two ascending arrays, read by sorted position via
-// two-array selection (binary-search the split point j — elements taken
-// from A among the first i+1 of the merge — O(log min(a, b)) per
-// access). Equal values are interchangeable for a value array, so tie
-// placement cannot matter.
+// TwoViewSelect (common/small_sort.h), O(log min(a, b)) per access.
 struct TwoViewGet {
   const uint64_t* A;
   size_t a;
   const uint64_t* B;
   size_t b;
-  uint64_t At(size_t i) const { return simd::TwoViewSelect(A, a, B, b, i); }
+  uint64_t At(size_t i) const { return TwoViewSelect(A, a, B, b, i); }
   void Gather(size_t offset, size_t stride, size_t count,
               uint64_t* out) const {
-    size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-      size_t idx[4] = {offset + i * stride, offset + (i + 1) * stride,
-                       offset + (i + 2) * stride,
-                       offset + (i + 3) * stride};
-      simd::TwoViewSelect4(A, a, B, b, idx, out + i);
-    }
-    for (; i < count; ++i) out[i] = At(offset + i * stride);
+    for (size_t i = 0; i < count; ++i) out[i] = At(offset + i * stride);
   }
 };
 
@@ -408,8 +394,8 @@ bool CompactorSummary::CascadeVirtual(GetFn get, size_t len) {
       auto& up = levels_[level];
       size_t up_size = up.size() + promoted;
       GrowScratch(up_size);
-      simd::MergeSorted(up.data(), up.size(), promote_buf_.data(), promoted,
-                        merge_buf_.data());
+      MergeSorted(up.data(), up.size(), promote_buf_.data(), promoted,
+                  merge_buf_.data());
       up.assign(merge_buf_.data(), merge_buf_.data() + up_size);
       sorted_[level] = up_size;
       seg_bounds_[level].clear();
@@ -464,9 +450,9 @@ const uint64_t* CompactorSummary::MergeGatheredSrcs(size_t out_size) {
     result = view_merge_srcs_[0].first;
   } else if (nsrc == 2) {
     GrowScratch(out_size);
-    simd::MergeSorted(view_merge_srcs_[0].first, view_merge_srcs_[0].second,
-                      view_merge_srcs_[1].first, view_merge_srcs_[1].second,
-                      merge_buf_.data());
+    MergeSorted(view_merge_srcs_[0].first, view_merge_srcs_[0].second,
+                view_merge_srcs_[1].first, view_merge_srcs_[1].second,
+                merge_buf_.data());
     result = merge_buf_.data();
   } else {
     GrowScratch(out_size);
@@ -485,7 +471,7 @@ const uint64_t* CompactorSummary::MergeGatheredSrcs(size_t out_size) {
     for (size_t i = 0; i + 1 < nsrc; i += 2) {
       const auto& a = view_merge_srcs_[i];
       const auto& b = view_merge_srcs_[i + 1];
-      simd::MergeSorted(a.first, a.second, b.first, b.second, out + produced);
+      MergeSorted(a.first, a.second, b.first, b.second, out + produced);
       produced += a.second + b.second;
       bounds.push_back(produced);
     }
@@ -502,7 +488,7 @@ const uint64_t* CompactorSummary::MergeGatheredSrcs(size_t out_size) {
       size_t r = 0;
       for (; r + 2 < bounds.size(); r += 2) {
         size_t lo = bounds[r], mid = bounds[r + 1], hi = bounds[r + 2];
-        simd::MergeSorted(src + lo, mid - lo, src + mid, hi - mid, dst + lo);
+        MergeSorted(src + lo, mid - lo, src + mid, hi - mid, dst + lo);
         bounds[++kept] = hi;
       }
       if (r + 1 < bounds.size()) {
@@ -583,7 +569,7 @@ void CompactorSummary::SortTail(std::vector<uint64_t>* buf, size_t from,
     size_t r = 0;
     for (; r + 2 < bounds.size(); r += 2) {
       size_t lo = bounds[r], mid = bounds[r + 1], hi = bounds[r + 2];
-      simd::MergeSorted(src + lo, mid - lo, src + mid, hi - mid, dst + lo);
+      MergeSorted(src + lo, mid - lo, src + mid, hi - mid, dst + lo);
       bounds[++out] = hi;  // overwrite in place: bounds[0] stays 0
     }
     if (r + 1 < bounds.size()) {
@@ -615,8 +601,7 @@ void CompactorSummary::MergeSortedTail(std::vector<uint64_t>* buf,
     return;
   }
   GrowScratch(buf->size());
-  simd::MergeSorted(data, mid, data + mid, buf->size() - mid,
-                    merge_buf_.data());
+  MergeSorted(data, mid, data + mid, buf->size() - mid, merge_buf_.data());
   buf->assign(merge_buf_.data(), merge_buf_.data() + buf->size());
 }
 
@@ -656,8 +641,8 @@ void CompactorSummary::CompactLevel(size_t level) {
     for (size_t i = offset; i < take; i += 2) promote_buf_[out++] = buf[i];
     size_t up_size = up.size() + promoted;
     GrowScratch(up_size);
-    simd::MergeSorted(up.data(), up.size(), promote_buf_.data(), promoted,
-                      merge_buf_.data());
+    MergeSorted(up.data(), up.size(), promote_buf_.data(), promoted,
+                merge_buf_.data());
     up.assign(merge_buf_.data(), merge_buf_.data() + up_size);
   }
   sorted_[level + 1] = up.size();
@@ -849,8 +834,7 @@ uint64_t CompactSortedViewsToWire(
   // so the descent runs to the first sub-capacity slice, materializing
   // one odd straggler per virtualized level. Same coins, same kept
   // elements as CompactorSummary::CascadeVirtual, with the surviving
-  // slice pulled through the accessor's bulk Gather (vectorized
-  // merge-path selection for the two-view shape).
+  // slice pulled through the accessor's bulk Gather.
   auto run = [&](auto get) -> uint64_t {
     Rng rng(seed);
     uint64_t straggler[64];

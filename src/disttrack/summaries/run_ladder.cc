@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "disttrack/common/simd.h"
+#include "disttrack/common/small_sort.h"
 
 namespace disttrack {
 namespace summaries {
@@ -110,11 +110,10 @@ size_t RunLadder::Pull(size_t cursor, std::vector<RunView>* views) {
     Run& b = runs_[best + 1];
     std::vector<uint64_t> merged = TakeBuffer();
     merged.resize(a.values.size() + b.values.size());
-    // Gap-merge inner loop: blockwise bitonic merge under AVX2 dispatch,
-    // byte-identical output to std::merge (uint64 values are compared
-    // wholesale, so stability cannot matter).
-    simd::MergeSorted(a.values.data(), a.values.size(), b.values.data(),
-                      b.values.size(), merged.data());
+    // Gap-merge inner loop: byte-identical output to std::merge (uint64
+    // values are compared wholesale, so stability cannot matter).
+    MergeSorted(a.values.data(), a.values.size(), b.values.data(),
+                b.values.size(), merged.data());
     Recycle(std::move(a.values));
     a.values = std::move(merged);
     Recycle(std::move(b.values));
@@ -160,8 +159,8 @@ void RunLadder::MergeTail() {
     if (CursorAt(b.start)) break;
     std::vector<uint64_t> merged = TakeBuffer();
     merged.resize(a.values.size() + b.values.size());
-    simd::MergeSorted(a.values.data(), a.values.size(), b.values.data(),
-                      b.values.size(), merged.data());
+    MergeSorted(a.values.data(), a.values.size(), b.values.data(),
+                b.values.size(), merged.data());
     Recycle(std::move(a.values));
     a.values = std::move(merged);
     Recycle(std::move(b.values));

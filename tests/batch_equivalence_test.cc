@@ -78,23 +78,74 @@ void DeliverRagged(Tracker* tracker, const sim::Workload& w, size_t seed) {
   }
 }
 
+// A stream in which one site owns almost every arrival: each of the
+// countdown engine's event gaps at that site spans many batches while the
+// other sites stay idle.
+sim::Workload DominantSiteWorkload(int k, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  sim::Workload w;
+  w.reserve(n);
+  const uint64_t others = static_cast<uint64_t>(k - 1);
+  for (size_t i = 0; i < n; ++i) {
+    int site = rng.UniformU64(1000) == 0
+                   ? 1 + static_cast<int>(rng.UniformU64(others))
+                   : 0;
+    w.push_back(sim::Arrival{site, rng.UniformU64(1 << 16)});
+  }
+  return w;
+}
+
+// The count countdown engine against per-element Arrive(): uniform
+// streams across seeds, then the single-site, skewed and bursty schedules
+// and a dominant-site stream. Each is delivered in ragged batches, as
+// one whole-stream ArriveBatch, and in two large ArriveSites calls over
+// the compact site stream.
 TEST(BatchEquivalenceTest, CountRaggedBatchesBitIdenticalAcrossSeeds) {
-  const int k = 8;
+  struct Case {
+    int k;
+    SiteSchedule sched;  // ignored for the dominant-site case
+    bool dominant_site;
+    uint64_t seed;
+  };
+  const Case cases[] = {
+      {8, SiteSchedule::kUniformRandom, false, 1},
+      {8, SiteSchedule::kUniformRandom, false, 2},
+      {8, SiteSchedule::kUniformRandom, false, 3},
+      {16, SiteSchedule::kSingleSite, false, 4},
+      {16, SiteSchedule::kSkewedGeometric, false, 5},
+      {16, SiteSchedule::kBursty, false, 6},
+      {4, SiteSchedule::kUniformRandom, true, 7},
+  };
   const uint64_t kN = 120000;
-  for (uint64_t seed : {1ull, 2ull, 3ull}) {
-    auto w = MakeCountWorkload(k, kN, SiteSchedule::kUniformRandom,
-                               100 + seed);
+  for (const Case& c : cases) {
+    auto w = c.dominant_site
+                 ? DominantSiteWorkload(c.k, 3 * kN, 100 + c.seed)
+                 : MakeCountWorkload(c.k, kN, c.sched, 100 + c.seed);
+    sim::SiteStream sites(w.size());
+    for (size_t i = 0; i < w.size(); ++i) {
+      sites[i] = static_cast<uint16_t>(w[i].site);
+    }
     count::RandomizedCountOptions o;
-    o.num_sites = k;
+    o.num_sites = c.k;
     o.epsilon = 0.01;  // many p-halving broadcasts inside the stream
-    o.seed = 500 + seed;
-    count::RandomizedCountTracker scalar(o), batched(o);
+    o.seed = 500 + c.seed;
+    count::RandomizedCountTracker scalar(o), ragged(o), whole(o), by_site(o);
     for (const auto& a : w) scalar.Arrive(a.site);
-    DeliverRagged(&batched, w, seed);
-    EXPECT_DOUBLE_EQ(batched.EstimateCount(), scalar.EstimateCount());
-    EXPECT_EQ(batched.meter().TotalMessages(), scalar.meter().TotalMessages());
-    EXPECT_EQ(batched.meter().TotalWords(), scalar.meter().TotalWords());
-    EXPECT_EQ(batched.rounds(), scalar.rounds());
+    DeliverRagged(&ragged, w, c.seed);
+    whole.ArriveBatch(w.data(), w.size());
+    // Two calls, so a batch end that fails to reconcile shows up in the
+    // next batch.
+    size_t head = 2 * sites.size() / 3 + 1;
+    by_site.ArriveSites(sites.data(), head);
+    by_site.ArriveSites(sites.data() + head, sites.size() - head);
+    for (const count::RandomizedCountTracker* t :
+         {&ragged, &whole, &by_site}) {
+      ASSERT_DOUBLE_EQ(t->EstimateCount(), scalar.EstimateCount())
+          << "case " << c.seed;
+      EXPECT_EQ(t->meter().TotalMessages(), scalar.meter().TotalMessages());
+      EXPECT_EQ(t->meter().TotalWords(), scalar.meter().TotalWords());
+      EXPECT_EQ(t->rounds(), scalar.rounds());
+    }
   }
 }
 
@@ -128,48 +179,50 @@ TEST(BatchEquivalenceTest, FrequencyBatchesBitIdenticalAcrossSplits) {
   }
 }
 
-TEST(BatchEquivalenceTest, FrequencyLegacyStoreMatchesFlatStore) {
-  // The counter store holds no randomness, so flat vs unordered_map must
-  // not change a single estimate, under either delivery mode.
-  const int k = 4;
-  const uint64_t kN = 50000;
-  auto w = MakeFrequencyWorkload(k, kN, SiteSchedule::kUniformRandom, 1000,
-                                 1.1, 37);
-  frequency::RandomizedFrequencyOptions o;
-  o.num_sites = k;
-  o.epsilon = 0.02;
-  o.seed = 11;
-  frequency::RandomizedFrequencyTracker flat(o);
-  o.use_flat_counters = false;
-  frequency::RandomizedFrequencyTracker legacy(o);
-  DeliverRagged(&flat, w, 1);
-  DeliverRagged(&legacy, w, 1);
-  for (uint64_t item : {0ull, 1ull, 5ull, 99ull, 999ull}) {
-    EXPECT_DOUBLE_EQ(flat.EstimateFrequency(item),
-                     legacy.EstimateFrequency(item));
-  }
-  EXPECT_EQ(flat.meter().TotalWords(), legacy.meter().TotalWords());
-  EXPECT_EQ(flat.splits(), legacy.splits());
-}
-
+// Rank's exact feed (use_batch_compaction=false) under batch delivery
+// against per-element Arrive(): the uniform, single-site and bursty
+// schedules and a dominant-site stream, each in ragged batches and as one
+// whole-stream batch, with batches straddling round broadcasts and
+// leaf/chunk completions.
 TEST(BatchEquivalenceTest, RankExactFeedBatchesBitIdenticalToScalar) {
-  const int k = 8;
+  struct Case {
+    int k;
+    SiteSchedule sched;  // ignored for the dominant-site case
+    bool dominant_site;
+    double epsilon;
+  };
+  const Case cases[] = {
+      {8, SiteSchedule::kUniformRandom, false, 0.02},
+      {8, SiteSchedule::kSingleSite, false, 0.02},
+      {8, SiteSchedule::kBursty, false, 0.02},
+      {4, SiteSchedule::kUniformRandom, true, 0.05},
+  };
   const uint64_t kN = 50000;
-  auto w = MakeRankWorkload(k, kN, SiteSchedule::kUniformRandom,
-                            stream::ValueOrder::kUniformRandom, 16, 41);
-  rank::RandomizedRankOptions o;
-  o.num_sites = k;
-  o.epsilon = 0.02;
-  o.seed = 13;
-  o.use_batch_compaction = false;  // per-element feed: exact path
-  rank::RandomizedRankTracker scalar(o), batched(o);
-  for (const auto& a : w) scalar.Arrive(a.site, a.key);
-  DeliverRagged(&batched, w, 2);
-  for (uint64_t q : {100ull, 20000ull, 45000ull, 65000ull}) {
-    EXPECT_DOUBLE_EQ(batched.EstimateRank(q), scalar.EstimateRank(q));
+  for (const Case& c : cases) {
+    auto w = c.dominant_site
+                 ? DominantSiteWorkload(c.k, 4 * kN, 3)
+                 : MakeRankWorkload(c.k, kN, c.sched,
+                                    stream::ValueOrder::kUniformRandom, 16,
+                                    41);
+    rank::RandomizedRankOptions o;
+    o.num_sites = c.k;
+    o.epsilon = c.epsilon;
+    o.seed = 13;
+    o.use_batch_compaction = false;  // per-element feed: exact path
+    rank::RandomizedRankTracker scalar(o), ragged(o), whole(o);
+    for (const auto& a : w) scalar.Arrive(a.site, a.key);
+    DeliverRagged(&ragged, w, 2);
+    whole.ArriveBatch(w.data(), w.size());
+    for (const rank::RandomizedRankTracker* t : {&ragged, &whole}) {
+      for (uint64_t q : {100ull, 20000ull, 45000ull, 65000ull}) {
+        ASSERT_DOUBLE_EQ(t->EstimateRank(q), scalar.EstimateRank(q))
+            << "q " << q;
+      }
+      EXPECT_EQ(t->meter().TotalMessages(), scalar.meter().TotalMessages());
+      EXPECT_EQ(t->meter().TotalWords(), scalar.meter().TotalWords());
+      EXPECT_EQ(t->rounds(), scalar.rounds());
+    }
   }
-  EXPECT_EQ(batched.meter().TotalMessages(), scalar.meter().TotalMessages());
-  EXPECT_EQ(batched.meter().TotalWords(), scalar.meter().TotalWords());
 }
 
 TEST(BatchEquivalenceTest, RankBatchedCompactionDistributionMatchesScalar) {
@@ -324,62 +377,16 @@ TEST(BatchEquivalenceTest, RankLadderBatchedFeedDistributionMatchesStaged) {
   EXPECT_LE(mean_gap, 4.0 * pooled_sd + 1e-9);
 }
 
-// ---- site-grouped delivery (use_site_grouping) ---------------------------
+// ---- frequency site-grouped delivery (use_site_grouping) -----------------
 //
 // Inside a chunk CoarseTracker::BatchCannotBroadcast certifies, arrivals
 // are permuted into site-contiguous spans; per-site coin streams and
-// event positions are site-local, so the grouped engines must be
-// bit-identical to the event-countdown engines — estimates to the ulp,
+// event positions are site-local, so the grouped engine must be
+// bit-identical to the event-countdown engine — estimates to the ulp,
 // communication totals, rounds, splits — for every workload shape and
-// any batch chunking (including single huge batches that the engines
-// chunk internally, straddling p-halving broadcasts and round/split
+// any batch chunking (including single huge batches that the engine
+// chunks internally, straddling p-halving broadcasts and round/split
 // boundaries).
-
-TEST(BatchEquivalenceTest, CountGroupedBitIdenticalAcrossWorkloads) {
-  const int k = 16;
-  const uint64_t kN = 150000;
-  for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kSingleSite,
-                     SiteSchedule::kSkewedGeometric, SiteSchedule::kBursty}) {
-    auto w = MakeCountWorkload(k, kN, sched, 901);
-    count::RandomizedCountOptions o;
-    o.num_sites = k;
-    o.epsilon = 0.01;
-    o.seed = 31;
-    o.use_site_grouping = true;
-    count::RandomizedCountTracker grouped(o);
-    o.use_site_grouping = false;
-    count::RandomizedCountTracker countdown(o);
-    // One huge batch for the grouped tracker (internal chunking must
-    // break at exactly the certified boundaries), ragged batches for the
-    // countdown one.
-    grouped.ArriveBatch(w.data(), w.size());
-    DeliverRagged(&countdown, w, 3);
-    ASSERT_DOUBLE_EQ(grouped.EstimateCount(), countdown.EstimateCount());
-    EXPECT_EQ(grouped.meter().TotalMessages(),
-              countdown.meter().TotalMessages());
-    EXPECT_EQ(grouped.meter().TotalWords(), countdown.meter().TotalWords());
-    EXPECT_EQ(grouped.rounds(), countdown.rounds());
-  }
-}
-
-TEST(BatchEquivalenceTest, CountGroupedSiteStreamMatchesScalar) {
-  const int k = 8;
-  const uint64_t kN = 120000;
-  auto w = MakeCountWorkload(k, kN, SiteSchedule::kUniformRandom, 77);
-  sim::SiteStream sites(w.size());
-  for (size_t i = 0; i < w.size(); ++i) {
-    sites[i] = static_cast<uint16_t>(w[i].site);
-  }
-  count::RandomizedCountOptions o;
-  o.num_sites = k;
-  o.epsilon = 0.01;
-  o.seed = 5;
-  count::RandomizedCountTracker grouped(o), scalar(o);
-  grouped.ArriveSites(sites.data(), sites.size());
-  for (const auto& a : w) scalar.Arrive(a.site);
-  EXPECT_DOUBLE_EQ(grouped.EstimateCount(), scalar.EstimateCount());
-  EXPECT_EQ(grouped.meter().TotalWords(), scalar.meter().TotalWords());
-}
 
 TEST(BatchEquivalenceTest, FrequencyGroupedBitIdenticalAcrossWorkloads) {
   const int k = 8;
@@ -410,69 +417,6 @@ TEST(BatchEquivalenceTest, FrequencyGroupedBitIdenticalAcrossWorkloads) {
     }
     EXPECT_EQ(grouped.meter().TotalMessages(), scalar.meter().TotalMessages());
     EXPECT_EQ(grouped.meter().TotalWords(), scalar.meter().TotalWords());
-  }
-}
-
-TEST(BatchEquivalenceTest, RankGroupedDominantSiteStraddlingChunks) {
-  // Regression: rank buffers eventless runs across its internal chunk
-  // boundaries without advancing the coarse tracker, so the broadcast
-  // certification must count the buffered carry — a dominant site whose
-  // event gap straddles the chunk boundary used to trip the
-  // broadcast-inside-certified-chunk abort.
-  Rng site_rng(3);
-  sim::Workload w;
-  for (int i = 0; i < 300000; ++i) {
-    int site = site_rng.UniformU64(1000) == 0
-                   ? 1 + static_cast<int>(site_rng.UniformU64(3))
-                   : 0;
-    w.push_back(sim::Arrival{site, site_rng.UniformU64(1 << 16)});
-  }
-  rank::RandomizedRankOptions o;
-  o.num_sites = 4;
-  o.epsilon = 0.05;
-  o.seed = 9;
-  o.use_site_grouping = true;
-  rank::RandomizedRankTracker grouped(o);
-  o.use_site_grouping = false;
-  rank::RandomizedRankTracker countdown(o);
-  grouped.ArriveBatch(w.data(), w.size());
-  countdown.ArriveBatch(w.data(), w.size());
-  for (uint64_t q : {100ull, 20000ull, 50000ull}) {
-    ASSERT_DOUBLE_EQ(grouped.EstimateRank(q), countdown.EstimateRank(q));
-  }
-  EXPECT_EQ(grouped.meter().TotalWords(), countdown.meter().TotalWords());
-}
-
-TEST(BatchEquivalenceTest, RankGroupedBitIdenticalToCountdownAcrossChunkings) {
-  // The grouped rank engine buffers eventless spans across its internal
-  // chunk boundaries and feeds at exactly the countdown engine's
-  // boundaries (events + batch ends), so for identical ArriveBatch call
-  // sequences the two engines must agree bit for bit — spans straddling
-  // round broadcasts and leaf/chunk completions included.
-  const int k = 8;
-  const uint64_t kN = 60000;
-  for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kSingleSite,
-                     SiteSchedule::kBursty}) {
-    auto w = MakeRankWorkload(k, kN, sched,
-                              stream::ValueOrder::kUniformRandom, 16, 67);
-    rank::RandomizedRankOptions o;
-    o.num_sites = k;
-    o.epsilon = 0.02;
-    o.seed = 41;
-    o.use_site_grouping = true;
-    rank::RandomizedRankTracker grouped(o);
-    o.use_site_grouping = false;
-    rank::RandomizedRankTracker countdown(o);
-    grouped.ArriveBatch(w.data(), w.size());
-    countdown.ArriveBatch(w.data(), w.size());
-    for (uint64_t q : {100ull, 9000ull, 30000ull, 65000ull}) {
-      ASSERT_DOUBLE_EQ(grouped.EstimateRank(q), countdown.EstimateRank(q))
-          << "q " << q;
-    }
-    EXPECT_EQ(grouped.meter().TotalMessages(),
-              countdown.meter().TotalMessages());
-    EXPECT_EQ(grouped.meter().TotalWords(), countdown.meter().TotalWords());
-    EXPECT_EQ(grouped.rounds(), countdown.rounds());
   }
 }
 

@@ -1,5 +1,7 @@
-// Tests for disttrack/common: Rng, math utilities, running statistics.
+// Tests for disttrack/common: Rng, math utilities, running statistics,
+// and the sorted-run helpers of small_sort.h.
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -7,6 +9,7 @@
 
 #include "disttrack/common/math_util.h"
 #include "disttrack/common/random.h"
+#include "disttrack/common/small_sort.h"
 #include "disttrack/common/stats.h"
 #include "disttrack/common/status.h"
 
@@ -187,6 +190,54 @@ TEST(MathUtilTest, CeilDiv) {
 TEST(MathUtilTest, SafeDiv) {
   EXPECT_DOUBLE_EQ(SafeDiv(10, 2), 5.0);
   EXPECT_DOUBLE_EQ(SafeDiv(10, 0, -1.0), -1.0);
+}
+
+// SortRun against std::sort at every network length 0..16 and past the
+// std::sort cutover, on distinct and duplicate-heavy keys, sorting inside
+// an offset window so neighbouring slots must stay untouched.
+TEST(SmallSortTest, SortRunMatchesStdSortAtEveryLength) {
+  Rng rng(0x5eed0002);
+  for (int trial = 0; trial < 200; ++trial) {
+    for (size_t n = 0; n <= 40; ++n) {
+      size_t off = rng.UniformU64(4);
+      uint64_t lim = trial % 3 == 0 ? 4 : ~0ull;
+      std::vector<uint64_t> buf(off + n + 1);
+      for (auto& x : buf) x = rng.UniformU64(lim);
+      std::vector<uint64_t> want = buf;
+      std::sort(want.begin() + static_cast<long>(off),
+                want.begin() + static_cast<long>(off + n));
+      SortRun(buf.data() + off, n);
+      ASSERT_EQ(buf, want) << "n=" << n;
+    }
+  }
+}
+
+// MergeSorted against std::merge with every tail length 0..15 on each
+// side plus longer runs, at arbitrary input and output offsets.
+TEST(SmallSortTest, MergeSortedMatchesStdMergeAtAllTails) {
+  Rng rng(0x5eed0004);
+  for (int trial = 0; trial < 300; ++trial) {
+    size_t na = trial % 2 == 0 ? rng.UniformU64(16) : 16 + rng.UniformU64(120);
+    size_t nb = trial % 3 == 0 ? rng.UniformU64(16) : 16 + rng.UniformU64(120);
+    size_t offa = rng.UniformU64(4);
+    size_t offb = rng.UniformU64(4);
+    uint64_t lim = trial % 4 == 0 ? 8 : ~0ull;  // duplicate-heavy mix
+    std::vector<uint64_t> a(offa + na);
+    std::vector<uint64_t> b(offb + nb);
+    for (size_t i = 0; i < na; ++i) a[offa + i] = rng.UniformU64(lim);
+    for (size_t i = 0; i < nb; ++i) b[offb + i] = rng.UniformU64(lim);
+    std::sort(a.begin() + static_cast<long>(offa), a.end());
+    std::sort(b.begin() + static_cast<long>(offb), b.end());
+    std::vector<uint64_t> want(na + nb);
+    std::merge(a.begin() + static_cast<long>(offa), a.end(),
+               b.begin() + static_cast<long>(offb), b.end(), want.begin());
+    std::vector<uint64_t> got(na + nb + 7, 0xDEADull);
+    size_t offo = rng.UniformU64(4);
+    MergeSorted(a.data() + offa, na, b.data() + offb, nb, got.data() + offo);
+    for (size_t i = 0; i < na + nb; ++i) {
+      ASSERT_EQ(got[offo + i], want[i]) << "na=" << na << " nb=" << nb;
+    }
+  }
 }
 
 TEST(StatsTest, RunningStatsMeanVariance) {

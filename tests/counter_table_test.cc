@@ -149,6 +149,51 @@ TEST(CounterTableTest, MatchesUnorderedMapUnderRandomWorkload) {
   }
 }
 
+// Find and the bulk IncrementTrackedRun path across epochs and growth:
+// each epoch inserts enough keys to grow the table several times, then a
+// bursty or scattered run (long enough for the four-lane walk) must leave
+// every counter where per-key increments of a std::unordered_map leave
+// it, and keys never inserted must stay untracked.
+TEST(CounterTableTest, IncrementTrackedRunMatchesPerKeyAcrossEpochs) {
+  Rng rng(0x5eed0007);
+  CounterTable t;
+  for (int epoch = 0; epoch < 8; ++epoch) {
+    std::unordered_map<uint64_t, uint64_t> ref;
+    size_t inserts = 1 + rng.UniformU64(500);
+    for (size_t i = 0; i < inserts; ++i) {
+      uint64_t key = rng.UniformU64(2000);
+      if (t.Find(key) == nullptr) {
+        uint64_t value = 1 + rng.UniformU64(100);
+        t.Insert(key, value);
+        ref.emplace(key, value);
+      }
+    }
+    std::vector<uint64_t> run;
+    size_t run_len = rng.UniformU64(3000);
+    for (size_t i = 0; i < run_len; ++i) {
+      uint64_t key = rng.UniformU64(2000);
+      size_t burst = 1 + rng.UniformU64(epoch % 2 == 0 ? 6 : 1);
+      for (size_t r = 0; r < burst; ++r) run.push_back(key);
+    }
+    t.IncrementTrackedRun(run.data(), run.size());
+    for (uint64_t key : run) {
+      auto it = ref.find(key);
+      if (it != ref.end()) ++it->second;
+    }
+    ASSERT_EQ(t.size(), ref.size());
+    for (const auto& [key, value] : ref) {
+      const uint64_t* found = t.Find(key);
+      ASSERT_NE(found, nullptr) << "key " << key;
+      ASSERT_EQ(*found, value) << "key " << key;
+    }
+    for (int probe = 0; probe < 200; ++probe) {
+      ASSERT_EQ(t.Find(2000 + rng.UniformU64(2000)), nullptr);
+    }
+    t.Clear();
+    ASSERT_EQ(t.size(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace frequency
 }  // namespace disttrack

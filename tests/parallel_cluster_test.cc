@@ -225,12 +225,12 @@ TEST(ParallelClusterFrequency, BurstySingleSiteLoadShardsExactly) {
   }
 }
 
-TEST(ParallelClusterFrequency, FallsBackForLegacyCounterStore) {
+TEST(ParallelClusterFrequency, FallsBackForPerArrivalCoins) {
   int k = 4;
   Workload w = stream::MakeFrequencyWorkload(
       k, 4000, stream::SiteSchedule::kUniformRandom, 500, 0.0, 3);
   core::TrackerOptions opt = Options(k);
-  opt.use_flat_counters = false;
+  opt.use_skip_sampling = false;  // no shard ingest without skip sampling
   auto serial_tracker = MakeFrequency(opt);
   auto serial = sim::ReplayFrequency(serial_tracker.get(), w, 1, 1.5);
   ParallelCluster cluster(4);
@@ -592,12 +592,12 @@ TEST(OnlineFrequency, BurstySingleSiteAndMisalignedPushes) {
   }
 }
 
-TEST(OnlineFrequency, FallsBackForLegacyCounterStore) {
+TEST(OnlineFrequency, FallsBackForPerArrivalCoins) {
   int k = 4;
   Workload w = stream::MakeFrequencyWorkload(
       k, 4000, stream::SiteSchedule::kUniformRandom, 500, 0.0, 3);
   core::TrackerOptions opt = Options(k);
-  opt.use_flat_counters = false;
+  opt.use_skip_sampling = false;  // no shard ingest without skip sampling
   auto serial_tracker = MakeFrequency(opt);
   serial_tracker->ArriveBatch(w.data(), w.size());
   ParallelCluster cluster(4);

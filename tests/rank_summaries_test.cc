@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "disttrack/common/random.h"
+#include "disttrack/common/small_sort.h"
 #include "disttrack/summaries/bernoulli_summary.h"
 #include "disttrack/summaries/compactor_summary.h"
 #include "disttrack/summaries/gk_summary.h"
@@ -116,6 +117,30 @@ TEST(GKSummaryTest, ClearResets) {
   gk.Clear();
   EXPECT_EQ(gk.n(), 0u);
   EXPECT_EQ(gk.NumTuples(), 0u);
+}
+
+// TwoViewSelect, the compactor's read of two merged sorted views by
+// position, against indexing into the materialized std::merge — empty
+// sides, duplicate-heavy values, every position.
+TEST(CompactorTest, TwoViewSelectMatchesMergedIndex) {
+  Rng rng(0x5eed0005);
+  for (int trial = 0; trial < 300; ++trial) {
+    size_t a = rng.UniformU64(40);
+    size_t b = trial % 5 == 0 ? 0 : rng.UniformU64(40);
+    uint64_t lim = trial % 3 == 0 ? 6 : ~0ull;
+    std::vector<uint64_t> A(a);
+    std::vector<uint64_t> B(b);
+    for (auto& x : A) x = rng.UniformU64(lim);
+    for (auto& x : B) x = rng.UniformU64(lim);
+    std::sort(A.begin(), A.end());
+    std::sort(B.begin(), B.end());
+    std::vector<uint64_t> merged(a + b);
+    std::merge(A.begin(), A.end(), B.begin(), B.end(), merged.begin());
+    for (size_t i = 0; i < a + b; ++i) {
+      ASSERT_EQ(TwoViewSelect(A.data(), a, B.data(), b, i), merged[i])
+          << "a=" << a << " b=" << b << " i=" << i;
+    }
+  }
 }
 
 TEST(CompactorTest, ExactWhileInBuffer) {

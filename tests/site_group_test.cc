@@ -118,13 +118,11 @@ TEST(SiteGroupTest, CountPassesMatchScatterHistogram) {
   for (size_t i = 0; i < w.size(); ++i) {
     sites[i] = static_cast<uint16_t>(w[i].site);
   }
-  SiteGrouper a, b, c;
+  SiteGrouper a, b;
   a.ScatterBySite(w.data(), w.size(), k);
-  b.CountArrivals(w.data(), w.size(), k);
-  c.CountSites(sites.data(), sites.size(), k);
+  b.CountSites(sites.data(), sites.size(), k);
   for (int s = 0; s < k; ++s) {
     EXPECT_EQ(b.histogram()[s], a.histogram()[s]);
-    EXPECT_EQ(c.histogram()[s], a.histogram()[s]);
   }
   ASSERT_EQ(b.spans().size(), a.spans().size());
   for (size_t i = 0; i < a.spans().size(); ++i) {
@@ -137,10 +135,11 @@ TEST(SiteGroupTest, CountPassesMatchScatterHistogram) {
 TEST(SiteGroupDeathTest, OutOfRangeSiteAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   sim::Workload w{sim::Arrival{0, 1}, sim::Arrival{3, 2}};
+  sim::SiteStream sites{0, 3};
   SiteGrouper grouper;
   EXPECT_DEATH(grouper.ScatterBySite(w.data(), w.size(), 3),
                "out of range");
-  EXPECT_DEATH(grouper.CountArrivals(w.data(), w.size(), 3),
+  EXPECT_DEATH(grouper.CountSites(sites.data(), sites.size(), 3),
                "out of range");
 }
 
@@ -161,7 +160,7 @@ TEST(SiteGroupTest, BatchCannotBroadcastIsExactAgainstReplay) {
     int unsafe_chunks = 0;
     while (pos < w.size()) {
       size_t len = std::min<size_t>(1 + rng.UniformU64(4096), w.size() - pos);
-      grouper.CountArrivals(w.data() + pos, len, k);
+      grouper.ScatterBySite(w.data() + pos, len, k);
       bool predicted_safe = coarse.BatchCannotBroadcast(grouper.histogram());
       uint64_t round_before = coarse.round();
       for (size_t i = 0; i < len; ++i) coarse.Arrive(w[pos + i].site);

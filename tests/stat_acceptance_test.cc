@@ -76,11 +76,10 @@ TEST(StatAcceptanceTest, FrequencyOldAndNewPathsMatchTheory) {
           o.num_sites = k;
           o.epsilon = eps;
           o.seed = seed;
-          // Old hot path: per-arrival Bernoulli coins + unordered_map
-          // counter lists (scalar delivery). New: skip sampling + flat
-          // open-addressing table + event-countdown batches.
+          // Old hot path: per-arrival Bernoulli coins (scalar delivery).
+          // New: skip sampling + event-countdown batches. Both paths
+          // keep their counters in the flat open-addressing table.
           o.use_skip_sampling = new_path;
-          o.use_flat_counters = new_path;
           frequency::RandomizedFrequencyTracker tracker(o);
           tracker.ArriveBatch(w.data(), w.size());
           return tracker.EstimateFrequency(0) - static_cast<double>(truth);
@@ -155,7 +154,6 @@ TEST(StatAcceptanceTest, FrequencyRareItemStaysUnbiasedOnBothPaths) {
           o.epsilon = eps;
           o.seed = seed;
           o.use_skip_sampling = new_path;
-          o.use_flat_counters = new_path;
           frequency::RandomizedFrequencyTracker tracker(o);
           tracker.ArriveBatch(w.data(), w.size());
           return tracker.EstimateFrequency(item) - static_cast<double>(truth);
