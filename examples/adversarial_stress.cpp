@@ -1,26 +1,29 @@
 // Scenario: stress the trackers with the paper's own lower-bound
 // adversaries — the distribution µ of Theorem 2.2 (all mass at one random
 // site, or perfectly balanced) and the s = k/2 ± √k subround schedule of
-// Theorem 2.4 — then batter the fault-tolerant runtime with seeded fault
-// storms (drops, duplicates, reorders, site crashes, coordinator
-// restarts) and demand bit-identical convergence to the fault-free run.
+// Theorem 2.4 — then batter the service protocol with seeded fault storms
+// on the in-process fleet pump (service/fleet_pump.h: the coordinator and
+// site cores the daemons run, under stream cuts, site crashes and
+// fragmented reads) and demand bit-identical convergence to the
+// fault-free run.
 //
 //   $ ./examples/adversarial_stress              # full stress + 32 storms
 //   $ ./examples/adversarial_stress <seed>       # replay one storm seed
 //
-// On any divergence the program prints the failing FaultPlan seed and
-// exits nonzero, so every failure is one command to reproduce.
+// On any divergence the program prints the failing storm seed and exits
+// nonzero, so every failure is one command to reproduce.
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "disttrack/core/tracking.h"
+#include "disttrack/service/fleet_pump.h"
 #include "disttrack/sim/cluster.h"
-#include "disttrack/sim/robust_cluster.h"
 #include "disttrack/stream/hard_instances.h"
 #include "disttrack/stream/workload.h"
 
@@ -56,107 +59,97 @@ Outcome RunOn(const disttrack::sim::Workload& workload, Algorithm algorithm,
   return out;
 }
 
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
+/// What a finished lockstep fleet must reproduce under any storm: the
+/// grant journal, the §1.1 paper ledger, and its answers as bits (the
+/// count estimate; hot-item frequencies; rank probes and the median).
+std::vector<uint64_t> Outcome(disttrack::service::FleetPump* pump,
+                              const disttrack::service::ServiceOptions& o) {
+  using disttrack::service::TrackerKind;
+  using disttrack::sim::wire::Message;
+  const disttrack::service::CoordinatorCore& coordinator = pump->coordinator();
+  auto ask = [&](uint64_t kind, uint64_t b) {
+    Message query;
+    query.type = disttrack::sim::wire::MsgType::kQuery;
+    query.a = kind;
+    query.b = b;
+    return coordinator.Query(query).values;
+  };
+  std::vector<uint64_t> out = ask(disttrack::service::kQueryJournal, 0);
+  out.push_back(coordinator.stats().paper_messages);
+  out.push_back(coordinator.stats().paper_words);
+  std::vector<uint64_t> answers;
+  if (o.tracker == TrackerKind::kCount) {
+    answers = ask(disttrack::service::kQueryCount, 0);
+  } else if (o.tracker == TrackerKind::kFrequency) {
+    for (uint64_t item = 0; item < 16; ++item) {
+      answers.push_back(ask(disttrack::service::kQueryPoint, item)[0]);
+    }
+  } else {
+    for (uint64_t i = 1; i < 8; ++i) {
+      answers.push_back(
+          ask(disttrack::service::kQueryRank, o.universe / 8 * i)[0]);
+    }
+    double half = 0.5;
+    uint64_t bits = 0;
+    std::memcpy(&bits, &half, sizeof(bits));
+    for (uint64_t v : ask(disttrack::service::kQueryQuantile, bits)) {
+      answers.push_back(v);
+    }
+  }
+  out.insert(out.end(), answers.begin(), answers.end());
+  return out;
 }
 
-/// One fault storm: replays all three trackers under FaultPlan::FromSeed
-/// and compares every checkpoint bitwise against the fault-free baseline.
-/// Returns false (after printing the reproduction command) on divergence.
+/// One fault storm: runs a lockstep fleet of each tracker under
+/// StormPlan::FromSeed and compares it bitwise against the fault-free
+/// run. Returns false (after printing the reproduction command) on
+/// divergence.
 bool RunStorm(uint64_t storm_seed, bool verbose) {
-  const int k = 6;
-  const uint64_t n = 4000;
+  using disttrack::service::FleetPump;
+  using disttrack::service::StormPlan;
+  using disttrack::service::TrackerKind;
+  for (TrackerKind tracker :
+       {TrackerKind::kCount, TrackerKind::kFrequency, TrackerKind::kRank}) {
+    disttrack::service::ServiceOptions options;
+    options.tracker = tracker;
+    options.num_sites = 6;
+    options.epsilon = tracker == TrackerKind::kCount ? 0.05 : 0.1;
+    options.seed = 101;
+    options.total_arrivals = 6000;
+    options.grant_max = 64;
+    options.snapshot_every = 128;
+    const char* name = disttrack::service::TrackerKindName(tracker);
 
-  struct Leg {
-    const char* name;
-    std::function<disttrack::sim::RobustReport(
-        const disttrack::sim::RobustOptions&)>
-        run;
-  };
-
-  disttrack::count::RandomizedCountOptions count_opt;
-  count_opt.num_sites = k;
-  count_opt.epsilon = 0.05;
-  count_opt.seed = 101;
-  auto count_w = disttrack::stream::MakeCountWorkload(
-      k, n, disttrack::stream::SiteSchedule::kUniformRandom, 11);
-
-  disttrack::frequency::RandomizedFrequencyOptions freq_opt;
-  freq_opt.num_sites = k;
-  freq_opt.epsilon = 0.1;
-  freq_opt.seed = 103;
-  auto freq_w = disttrack::stream::MakeFrequencyWorkload(
-      k, n, disttrack::stream::SiteSchedule::kUniformRandom, 64, 1.1, 13);
-
-  disttrack::rank::RandomizedRankOptions rank_opt;
-  rank_opt.num_sites = k;
-  rank_opt.epsilon = 0.1;
-  rank_opt.seed = 107;
-  auto rank_w = disttrack::stream::MakeRankWorkload(
-      k, n, disttrack::stream::SiteSchedule::kUniformRandom,
-      disttrack::stream::ValueOrder::kUniformRandom, 24, 17);
-
-  const Leg legs[] = {
-      {"count",
-       [&](const disttrack::sim::RobustOptions& r) {
-         return disttrack::sim::RobustReplayCount(count_opt, count_w, r);
-       }},
-      {"frequency",
-       [&](const disttrack::sim::RobustOptions& r) {
-         return disttrack::sim::RobustReplayFrequency(freq_opt, freq_w, 2, r);
-       }},
-      {"rank",
-       [&](const disttrack::sim::RobustOptions& r) {
-         return disttrack::sim::RobustReplayRank(rank_opt, rank_w, 1ull << 23,
-                                                 r);
-       }},
-  };
-
-  for (const Leg& leg : legs) {
-    disttrack::sim::RobustOptions clean;
-    auto base = leg.run(clean);
-    disttrack::sim::RobustOptions storm;
-    storm.plan = disttrack::sim::FaultPlan::FromSeed(storm_seed, n, k);
-    auto faulty = leg.run(storm);
-
+    std::string error;
+    FleetPump clean(options);
     const char* what = nullptr;
-    if (!base.ok) what = base.error.c_str();
-    if (!what && !faulty.ok) what = faulty.error.c_str();
-    if (!what && faulty.checkpoints.size() != base.checkpoints.size()) {
-      what = "checkpoint count mismatch";
-    }
-    if (!what) {
-      for (size_t i = 0; i < base.checkpoints.size(); ++i) {
-        if (!SameBits(faulty.checkpoints[i].estimate,
-                      base.checkpoints[i].estimate) ||
-            !SameBits(faulty.checkpoints[i].replica_estimate,
-                      faulty.checkpoints[i].estimate)) {
-          what = "estimate diverged from the fault-free run";
-          break;
-        }
-      }
-    }
-    if (!what && faulty.paper_words != base.paper_words) {
-      what = "paper-model word count changed under faults";
+    if (!clean.Run(&error)) what = "the fault-free fleet failed";
+    FleetPump storm(options, StormPlan::FromSeed(storm_seed, options));
+    if (!what && !storm.Run(&error)) what = "the storm fleet failed";
+    if (!what && Outcome(&storm, options) != Outcome(&clean, options)) {
+      what = "journal, paper ledger or answers diverged from the "
+             "fault-free run";
     }
     if (what) {
       std::printf(
-          "FAIL %-9s storm seed %llu: %s\n"
+          "FAIL %-9s storm seed %llu: %s%s%s\n"
           "  reproduce with: ./examples/adversarial_stress %llu\n",
-          leg.name, static_cast<unsigned long long>(storm_seed), what,
+          name, static_cast<unsigned long long>(storm_seed), what,
+          error.empty() ? "" : ": ", error.c_str(),
           static_cast<unsigned long long>(storm_seed));
       return false;
     }
     if (verbose) {
+      const FleetPump::Report& report = storm.report();
       std::printf(
-          "  %-9s seed %-6llu ok  (delivered %llu, deduped %llu, "
-          "retransmits %llu, crashes %llu, restarts %llu)\n",
-          leg.name, static_cast<unsigned long long>(storm_seed),
-          static_cast<unsigned long long>(faulty.frames_delivered),
-          static_cast<unsigned long long>(faulty.frames_deduped),
-          static_cast<unsigned long long>(faulty.retransmissions),
-          static_cast<unsigned long long>(faulty.site_recoveries),
-          static_cast<unsigned long long>(faulty.coordinator_restarts));
+          "  %-9s seed %-6llu ok  (crashes %llu, cuts %llu, %llu mid-frame, "
+          "rejoins %llu)\n",
+          name, static_cast<unsigned long long>(storm_seed),
+          static_cast<unsigned long long>(report.crashes),
+          static_cast<unsigned long long>(report.cuts),
+          static_cast<unsigned long long>(report.cuts_mid_frame),
+          static_cast<unsigned long long>(
+              storm.coordinator().stats().rejoins));
     }
   }
   return true;
@@ -217,15 +210,16 @@ int main(int argc, char** argv) {
               "case it is in. Theorem 2.4's schedule shows no correct "
               "protocol, however clever, beats Omega(sqrt(k)/eps logN).\n");
 
-  std::printf("\n-- Fault storms (robust runtime, k = 6) --\n");
+  std::printf("\n-- Fault storms (service protocol on the fleet pump, "
+              "k = 6) --\n");
   const uint64_t kStorms = 32;
   for (uint64_t seed = 1; seed <= kStorms; ++seed) {
     if (!RunStorm(seed, /*verbose=*/false)) return 1;
   }
   std::printf(
-      "%llu seeded storms (drops, duplicates, reorders, site crashes, "
-      "coordinator restarts): every run bit-identical to the fault-free "
-      "baseline for count, frequency, and rank.\n",
+      "%llu seeded storms (stream cuts, site crashes, fragmented reads, "
+      "shuffled service order): every lockstep fleet bit-identical to the "
+      "fault-free run for count, frequency, and rank.\n",
       static_cast<unsigned long long>(kStorms));
   return 0;
 }

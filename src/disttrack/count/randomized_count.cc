@@ -170,37 +170,14 @@ void RandomizedCountTracker::RestoreSiteState(
 void RandomizedCountTracker::BeginCrashReplay(int site) {
   crash_replay_ = true;
   replay_site_ = site;
-  replay_saved_inv_p_ = inv_p_;
-  replay_saved_log2_ = log2_inv_p_;
 }
 
-void RandomizedCountTracker::EndCrashReplay() {
-  if (inv_p_ != replay_saved_inv_p_ || log2_inv_p_ != replay_saved_log2_) {
-    std::fprintf(stderr,
-                 "RandomizedCountTracker: crash replay did not re-evolve "
-                 "1/p to its pre-crash value (journal is incomplete)\n");
-    std::abort();
-  }
-  crash_replay_ = false;
-  replay_site_ = -1;
-}
-
-void RandomizedCountTracker::ReplayCrashArrive(int site,
-                                               const uint64_t* mid_ritual_n_bar) {
+void RandomizedCountTracker::ReplayCrashArrive(int site) {
   SiteState& s = sites_[static_cast<size_t>(site)];
   ++s.count;
   uint64_t delta = coarse_->ArriveLocal(site);
   if (delta > 0) {
     EmitTap(sim::wire::MsgType::kCoarseReport, site, delta);
-  }
-  if (mid_ritual_n_bar != nullptr) {
-    if (delta == 0) {
-      std::fprintf(stderr,
-                   "RandomizedCountTracker: journaled mid-arrival broadcast "
-                   "at an arrival with no coarse report\n");
-      std::abort();
-    }
-    ReplayCrashRitual(site, *mid_ritual_n_bar);
   }
   bool hit = options_.use_skip_sampling
                  ? s.skip.Next(&s.rng)
@@ -288,7 +265,7 @@ uint64_t RandomizedCountTracker::ReplayCrashRun(
     // Per-arrival coins: every arrival draws from the RNG, so there is no
     // eventless stretch to retire in bulk.
     for (uint64_t i = 0; i < count; ++i) {
-      ReplayCrashArrive(site, nullptr);
+      ReplayCrashArrive(site);
       if (stop && stop()) return i + 1;
     }
     return count;
@@ -296,7 +273,7 @@ uint64_t RandomizedCountTracker::ReplayCrashRun(
   // NextEventGap is re-read after every event: a ritual applied from the
   // tap inside ReplayCrashArrive redraws the site's skip.
   return SiteRun(site, count, [&](int event_site) {
-    ReplayCrashArrive(event_site, nullptr);
+    ReplayCrashArrive(event_site);
     return !(stop && stop());
   });
 }

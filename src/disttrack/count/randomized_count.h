@@ -102,7 +102,7 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   /// Rounds completed so far (CoarseTracker broadcasts).
   uint64_t rounds() const { return coarse_->round(); }
 
-  // --- Wire layer / crash recovery (sim/robust_cluster.h) ----------------
+  // --- Wire layer / crash recovery (service/site_half.h) -----------------
   // A tap mirrors every metered message (coarse reports, coin reports,
   // p-halving corrections, broadcasts) as a typed wire::Message at the
   // §1.1 send instant; snapshots capture one site's full private state
@@ -126,21 +126,18 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   /// same stream position, where they are unchanged.
   void RestoreSiteState(int site, const std::vector<uint64_t>& blob);
 
-  /// Brackets a crash replay of `site`. Begin saves the live round
-  /// globals (the snapshot will rewind them); End verifies the replayed
-  /// broadcasts evolved them back to exactly the saved values.
+  /// Puts the tracker in permanent crash-replay mode for `site` (a
+  /// service site half): arrivals advance only that site's state.
   void BeginCrashReplay(int site);
-  void EndCrashReplay();
 
-  /// Re-delivers one lost arrival to the crashed site. `mid_ritual_n_bar`
-  /// is non-null iff this arrival's coarse report triggered a broadcast in
-  /// the original run; the per-site half of the round ritual is then
-  /// replayed at the exact point the original run performed it.
-  void ReplayCrashArrive(int site, const uint64_t* mid_ritual_n_bar);
+  /// Re-delivers one arrival to the replaying site. A ritual its coarse
+  /// report triggers is applied from inside the tap (ReplayCrashRitual),
+  /// at the exact point the original run performed it.
+  void ReplayCrashArrive(int site);
 
   /// Re-delivers the site's next `count` arrivals in one call, with no
   /// mid-run broadcast journaled: the frame stream and the site state
-  /// equal `count` ReplayCrashArrive(site, nullptr) calls. Eventless
+  /// equal `count` ReplayCrashArrive(site) calls. Eventless
   /// stretches retire in bulk; each event arrival (coarse report or coin
   /// success) takes the scalar ReplayCrashArrive path, so a ritual the tap
   /// applies reentrantly lands at the same program point. `stop`, when
@@ -224,8 +221,6 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   // Crash-replay bookkeeping (see BeginCrashReplay).
   bool crash_replay_ = false;
   int replay_site_ = -1;
-  uint64_t replay_saved_inv_p_ = 0;
-  int replay_saved_log2_ = 0;
 
   // Site-side state (O(1) words each).
   struct SiteState {

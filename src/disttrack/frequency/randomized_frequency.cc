@@ -214,21 +214,10 @@ struct RandomizedFrequencyTracker::DirectPort {
 // number.
 struct RandomizedFrequencyTracker::ReplayPort {
   RandomizedFrequencyTracker* t;
-  const uint64_t* mid_n_bar;
   void CoarseArrive(int site) {
     uint64_t delta = t->coarse_->ArriveLocal(site);
     if (delta > 0) {
       t->EmitTap(sim::wire::MsgType::kCoarseReport, site, delta, 0, 0, 1);
-    }
-    if (mid_n_bar != nullptr) {
-      if (delta == 0) {
-        std::fprintf(stderr,
-                     "RandomizedFrequencyTracker: journaled mid-arrival "
-                     "broadcast at an arrival with no coarse report\n");
-        std::abort();
-      }
-      t->ReplayCrashRitual(site, *mid_n_bar);
-      mid_n_bar = nullptr;
     }
   }
   void SplitNotify(int site) {
@@ -658,26 +647,10 @@ void RandomizedFrequencyTracker::RestoreSiteState(
 void RandomizedFrequencyTracker::BeginCrashReplay(int site) {
   crash_replay_ = true;
   replay_site_ = site;
-  replay_saved_inv_p_ = inv_p_;
-  replay_saved_log2_ = log2_inv_p_;
-  replay_saved_split_threshold_ = split_threshold_;
 }
 
-void RandomizedFrequencyTracker::EndCrashReplay() {
-  if (inv_p_ != replay_saved_inv_p_ || log2_inv_p_ != replay_saved_log2_ ||
-      split_threshold_ != replay_saved_split_threshold_) {
-    std::fprintf(stderr,
-                 "RandomizedFrequencyTracker: crash replay did not re-evolve "
-                 "the round parameters to their pre-crash values\n");
-    std::abort();
-  }
-  crash_replay_ = false;
-  replay_site_ = -1;
-}
-
-void RandomizedFrequencyTracker::ReplayCrashArrive(
-    int site, uint64_t item, const uint64_t* mid_ritual_n_bar) {
-  ReplayPort port{this, mid_ritual_n_bar};
+void RandomizedFrequencyTracker::ReplayCrashArrive(int site, uint64_t item) {
+  ReplayPort port{this};
   ProcessArrivalImpl(site, item, port);
 }
 

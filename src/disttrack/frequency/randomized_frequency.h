@@ -157,7 +157,7 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   /// (diagnostics/tests; resolved once at construction).
   bool grouped_delivery_enabled() const { return grouped_enabled_; }
 
-  // --- Wire layer / crash recovery (sim/robust_cluster.h) ----------------
+  // --- Wire layer / crash recovery (service/site_half.h) -----------------
   // Mirrors the count tracker's API: a tap emits every metered message as
   // a typed wire::Message; site snapshots capture the sticky counter
   // list, both skip channels, the instance id mint, and the RNG; the
@@ -172,13 +172,12 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   void SerializeSiteState(int site, std::vector<uint64_t>* out) const;
   void RestoreSiteState(int site, const std::vector<uint64_t>& blob);
 
+  /// Permanent crash-replay mode for `site` (a service site half).
   void BeginCrashReplay(int site);
-  void EndCrashReplay();
 
-  /// Re-delivers one lost arrival. `mid_ritual_n_bar` non-null iff the
-  /// arrival's coarse report triggered a broadcast in the original run.
-  void ReplayCrashArrive(int site, uint64_t item,
-                         const uint64_t* mid_ritual_n_bar);
+  /// Re-delivers one arrival to the replaying site; a ritual its coarse
+  /// report triggers is applied from inside the tap.
+  void ReplayCrashArrive(int site, uint64_t item);
 
   /// Per-site half of a round transition another site triggered.
   void ReplayCrashRitual(int site, uint64_t n_bar);
@@ -341,9 +340,6 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   // Crash-replay bookkeeping (see BeginCrashReplay).
   bool crash_replay_ = false;
   int replay_site_ = -1;
-  uint64_t replay_saved_inv_p_ = 0;
-  int replay_saved_log2_ = 0;
-  uint64_t replay_saved_split_threshold_ = 0;
 
   // Current round: item -> (arena slot + 1) in live_index_; the arena
   // entries [0, live_used_) are this round's ItemAggs.

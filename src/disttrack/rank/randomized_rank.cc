@@ -111,37 +111,16 @@ void RandomizedRankTracker::StartFreshInstance(SiteState* s) {
     // samples); unpulled ladder data goes with it.
     s->ladder.Reset(levels);
   }
-  if (crash_replay_ && detached_replay_) {
-    // Detached site process: no journaled instances to walk and nothing
-    // is ever stored into idata in replay mode, so one scratch instance
-    // serves every round/chunk transition (keeps the long-lived site at
-    // O(1) instance memory).
+  if (crash_replay_) {
+    // Site process: nothing is ever stored into idata in replay mode, so
+    // one scratch instance serves every round/chunk transition.
     if (s->owned_instances.empty()) s->owned_instances.emplace_back();
     s->idata = &s->owned_instances.back();
-    s->idata->inv_p = inv_p_;
-  } else if (crash_replay_) {
-    // The coordinator-side instance storage survived the crash: advance
-    // the replay cursor through the instances the original execution
-    // created instead of appending duplicates.
-    ++replay_cursor_;
-    if (replay_cursor_ >= s->owned_instances.size()) {
-      std::fprintf(stderr,
-                   "RandomizedRankTracker: crash replay created more "
-                   "instances than the original execution\n");
-      std::abort();
-    }
-    s->idata = &s->owned_instances[replay_cursor_];
-    if (s->idata->inv_p != inv_p_) {
-      std::fprintf(stderr,
-                   "RandomizedRankTracker: crash replay diverged — "
-                   "instance %zu round p mismatch\n", replay_cursor_);
-      std::abort();
-    }
   } else {
     s->owned_instances.emplace_back();
     s->idata = &s->owned_instances.back();
-    s->idata->inv_p = inv_p_;
   }
+  s->idata->inv_p = inv_p_;
   if (options_.use_skip_sampling) {
     // Rounds change p, which invalidates outstanding skips; chunk
     // boundaries don't, but a redraw is exact either way (independence of
@@ -220,11 +199,11 @@ void RandomizedRankTracker::FlushDeferredUploads() {
 
 void RandomizedRankTracker::CoarseArriveOne(int site) {
   if (crash_replay_) {
-    // Site-local coarse advance, frame re-emission, and — when the
-    // journal says this arrival's report triggered a broadcast — the
-    // per-site half of the round ritual, at the exact point the original
-    // execution performed it (before this arrival's value feeds the
-    // tree). No n', meter, or round writes: the coordinator kept those.
+    // Site-local coarse advance and frame re-emission; a ritual the
+    // report triggers runs from inside the tap, at the exact point the
+    // original execution performed it (before this arrival's value feeds
+    // the tree). No n', meter, or round writes: the coordinator keeps
+    // those.
     uint64_t delta = coarse_->ArriveLocal(site);
     if (delta > 0 && tap_ != nullptr) {
       sim::wire::Message msg;
@@ -234,17 +213,6 @@ void RandomizedRankTracker::CoarseArriveOne(int site) {
       msg.a = delta;
       msg.paper_words = 1;
       tap_->OnMessage(std::move(msg));
-    }
-    if (replay_mid_n_bar_ != nullptr) {
-      if (delta == 0) {
-        std::fprintf(stderr,
-                     "RandomizedRankTracker: journaled mid-arrival "
-                     "broadcast at an arrival with no coarse report\n");
-        std::abort();
-      }
-      uint64_t n_bar = *replay_mid_n_bar_;
-      replay_mid_n_bar_ = nullptr;
-      ReplayCrashRitual(site, n_bar);
     }
     return;
   }
@@ -1025,57 +993,16 @@ void RandomizedRankTracker::RestoreSiteState(
                  "range\n");
     std::abort();
   }
-  replay_cursor_ = instance_index;
   s.idata = &s.owned_instances[instance_index];
 }
 
 void RandomizedRankTracker::BeginCrashReplay(int site) {
-  std::memcpy(&replay_saved_inv_p_bits_, &inv_p_,
-              sizeof(replay_saved_inv_p_bits_));
-  replay_saved_chunk_size_ = chunk_size_;
-  replay_saved_block_size_ = block_size_;
-  replay_saved_num_leaves_ = num_leaves_;
-  replay_saved_height_ = height_;
   crash_replay_ = true;
   replay_site_ = site;
-  replay_mid_n_bar_ = nullptr;
 }
 
-void RandomizedRankTracker::EndCrashReplay() {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &inv_p_, sizeof(bits));
-  if (bits != replay_saved_inv_p_bits_ ||
-      chunk_size_ != replay_saved_chunk_size_ ||
-      block_size_ != replay_saved_block_size_ ||
-      num_leaves_ != replay_saved_num_leaves_ ||
-      height_ != replay_saved_height_) {
-    std::fprintf(stderr,
-                 "RandomizedRankTracker: crash replay did not restore the "
-                 "round parameters\n");
-    std::abort();
-  }
-  SiteState& s = sites_[static_cast<size_t>(replay_site_)];
-  if (replay_cursor_ + 1 != s.owned_instances.size() ||
-      s.idata != &s.owned_instances[replay_cursor_]) {
-    std::fprintf(stderr,
-                 "RandomizedRankTracker: crash replay instance cursor out "
-                 "of step\n");
-    std::abort();
-  }
-  crash_replay_ = false;
-  replay_site_ = -1;
-}
-
-void RandomizedRankTracker::ReplayCrashArrive(
-    int site, uint64_t value, const uint64_t* mid_ritual_n_bar) {
-  replay_mid_n_bar_ = mid_ritual_n_bar;
+void RandomizedRankTracker::ReplayCrashArrive(int site, uint64_t value) {
   ProcessArrival(site, value);
-  if (replay_mid_n_bar_ != nullptr) {
-    std::fprintf(stderr,
-                 "RandomizedRankTracker: journaled mid-arrival broadcast "
-                 "was not consumed\n");
-    std::abort();
-  }
 }
 
 void RandomizedRankTracker::ReplayCrashRitual(int site, uint64_t n_bar) {

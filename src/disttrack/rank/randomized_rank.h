@@ -139,7 +139,7 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   /// Leaf block size b of the current round.
   uint64_t block_size() const { return block_size_; }
 
-  // --- Wire layer / crash recovery (sim/robust_cluster.h) ----------------
+  // --- Wire layer / crash recovery (service/site_half.h) -----------------
   // Mirrors the count tracker's API: a tap emits every metered message
   // (coarse reports, node-summary exports, tail-channel residual
   // forwards, broadcasts) as a typed wire::Message; site snapshots
@@ -153,32 +153,26 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   /// Rank snapshots are only consistent at chunk boundaries, where the
   /// site holds no partially built tree (nodes and ladder empty, leaf
   /// seed unarmed) and its whole private state is the round parameters
-  /// plus the coarse counters and the RNG/skip streams. The robust
-  /// driver polls until this returns true.
+  /// plus the coarse counters and the RNG/skip streams. A service site
+  /// retries at its next run boundary until this returns true.
   bool SiteSnapshotReady(int site) const;
 
   void SerializeSiteState(int site, std::vector<uint64_t>* out) const;
   void RestoreSiteState(int site, const std::vector<uint64_t>& blob);
 
+  /// Permanent crash-replay mode for `site` (a service site half): the
+  /// tracker lives in a site process, and the coordinator's instance
+  /// storage is a remote replica. Instance transitions reuse one scratch
+  /// InstanceData (replay mode never stores summaries or residuals into
+  /// it), so a long-lived site holds O(1) instance memory.
   void BeginCrashReplay(int site);
-  void EndCrashReplay();
 
-  /// Re-delivers one lost arrival. `mid_ritual_n_bar` non-null iff the
-  /// arrival's coarse report triggered a broadcast in the original run.
-  void ReplayCrashArrive(int site, uint64_t value,
-                         const uint64_t* mid_ritual_n_bar);
+  /// Re-delivers one arrival to the replaying site; a ritual its coarse
+  /// report triggers is applied from inside the tap.
+  void ReplayCrashArrive(int site, uint64_t value);
 
   /// Per-site half of a round transition another site triggered.
   void ReplayCrashRitual(int site, uint64_t n_bar);
-
-  /// Detached-site mode (service/): the tracker lives in a site process
-  /// and runs in crash replay permanently — the coordinator's instance
-  /// storage is a remote replica, so there is no pre-crash instance
-  /// journal for the replay cursor to walk. Instance transitions then
-  /// reuse one scratch InstanceData (replay mode never stores summaries
-  /// or residuals into it) instead of cursor-advancing. Set before
-  /// BeginCrashReplay.
-  void set_detached_replay(bool detached) { detached_replay_ = detached; }
 
  private:
   // A node summary shipped to the coordinator: the compactor's levels as
@@ -388,21 +382,9 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   bool defer_uploads_ = false;
   std::vector<PendingUpload> pending_uploads_;
 
-  // Crash-replay bookkeeping (see BeginCrashReplay). The cursor walks
-  // the crashed site's pre-existing owned_instances as the replay
-  // re-creates them — replayed StartFreshInstance calls advance it
-  // instead of appending, so the coordinator-side instance storage is
-  // never duplicated.
+  // Crash-replay bookkeeping (see BeginCrashReplay).
   bool crash_replay_ = false;
-  bool detached_replay_ = false;
   int replay_site_ = -1;
-  size_t replay_cursor_ = 0;
-  const uint64_t* replay_mid_n_bar_ = nullptr;
-  uint64_t replay_saved_inv_p_bits_ = 0;
-  uint64_t replay_saved_chunk_size_ = 0;
-  uint64_t replay_saved_block_size_ = 0;
-  uint32_t replay_saved_num_leaves_ = 0;
-  int replay_saved_height_ = 0;
 
   // Round parameters.
   double inv_p_ = 1.0;

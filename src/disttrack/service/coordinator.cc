@@ -2,57 +2,41 @@
 
 #include <errno.h>
 #include <poll.h>
-#include <string.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 
 namespace disttrack {
 namespace service {
 
 namespace {
 
-using sim::wire::Message;
-using sim::wire::MsgType;
-
 /// Stop reading a connection whose unsent output exceeds this.
 constexpr size_t kBackpressureBytes = 4u << 20;
 
-uint64_t Bits(double d) {
-  uint64_t bits = 0;
-  memcpy(&bits, &d, sizeof(bits));
-  return bits;
+/// Write end of RunUntilShutdown's self-pipe (-1 outside it).
+volatile sig_atomic_t g_signal_pipe = -1;
+
+extern "C" void WakeOnSignal(int) {
+  int saved = errno;
+  if (g_signal_pipe >= 0) {
+    uint8_t byte = 1;
+    ssize_t ignored = write(g_signal_pipe, &byte, 1);
+    (void)ignored;
+  }
+  errno = saved;
 }
 
 }  // namespace
 
-Coordinator::Coordinator(const ServiceOptions& options)
-    : options_(options),
-      options_hash_(options.Hash()),
-      sessions_(static_cast<size_t>(options.num_sites)),
-      granted_(static_cast<size_t>(options.num_sites), 0) {
-  switch (options_.tracker) {
-    case TrackerKind::kCount:
-      count_replica_ =
-          std::make_unique<sim::CountReplica>(options_.CountOptions());
-      break;
-    case TrackerKind::kFrequency:
-      frequency_replica_ = std::make_unique<sim::FrequencyReplica>(
-          options_.FrequencyOptions());
-      break;
-    case TrackerKind::kRank:
-      rank_replica_ =
-          std::make_unique<sim::RankReplica>(options_.RankOptions());
-      break;
-  }
-}
+Coordinator::Coordinator(const ServiceOptions& options) : core_(options) {}
 
 Coordinator::~Coordinator() {
   for (int fd : listeners_) close(fd);
-  for (auto& conn : conns_) {
-    if (!conn->closed) close(conn->fd);
+  for (const Conn& conn : conns_) {
+    if (!conn.closed) close(conn.fd);
   }
 }
 
@@ -66,489 +50,48 @@ bool Coordinator::AddListener(const Endpoint& endpoint, std::string* error) {
 
 void Coordinator::AdoptConnection(int fd) {
   SetNonBlocking(fd, true);
-  auto conn = std::make_unique<Conn>();
-  conn->fd = fd;
-  conns_.push_back(std::move(conn));
+  conns_.push_back(Conn{fd, false});
+  core_.Open(fd);
 }
 
-uint64_t Coordinator::site_position(int site) const {
-  return sessions_[static_cast<size_t>(site)].position;
-}
-
-bool Coordinator::AllSitesDone() const {
-  for (const Session& s : sessions_) {
-    if (!Settled(s)) return false;
-  }
-  return true;
-}
-
-bool Coordinator::ShutdownComplete() const {
-  if (!shutting_down_) return false;
-  for (const Session& s : sessions_) {
-    if (s.conn != nullptr) return false;
-  }
-  return true;
-}
-
-uint64_t Coordinator::PendingOutBytes() const {
-  uint64_t total = 0;
-  for (const auto& conn : conns_) {
-    if (!conn->closed) total += conn->pending();
-  }
-  return total;
-}
-
-// --- Output path ----------------------------------------------------------
-
-void Coordinator::AppendOut(Conn* conn, const std::vector<uint8_t>& bytes) {
-  conn->out.insert(conn->out.end(), bytes.begin(), bytes.end());
-  stats_.frames_out += 1;
-  stats_.encoded_out += bytes.size();
-}
-
-void Coordinator::AppendUnseq(Conn* conn, const Message& msg) {
-  std::vector<uint8_t> frame;
-  sim::wire::EncodeFrame(msg, 0, &frame);
-  AppendOut(conn, frame);
-}
-
-void Coordinator::StageDown(int site, Message msg) {
-  Session& s = sessions_[static_cast<size_t>(site)];
-  s.down_journal.push_back(msg);
-  std::vector<uint8_t> frame;
-  s.down.Stage(msg, 0, &frame);
-  if (s.conn != nullptr) AppendOut(s.conn, frame);
-  // Disconnected: the journal keeps the frame; FinishJoin re-stages the
-  // suffix past the site's watermark when it comes back.
+void Coordinator::Close(Conn* conn) {
+  if (conn->closed) return;
+  close(conn->fd);
+  conn->closed = true;
+  core_.Closed(conn->fd);
 }
 
 void Coordinator::TryWrite(Conn* conn) {
-  // The cumulative uplink ack rides on the next write to the site rather
-  // than costing a send (and a wake-up of a site parked on its grant) of
-  // its own; acks only let the site trim its send journal.
-  if (conn->site >= 0 && conn->pending() > 0) {
-    const Session& s = sessions_[static_cast<size_t>(conn->site)];
-    if (s.conn == conn && s.up.watermark() != conn->acked) {
-      Message ack;
-      ack.type = MsgType::kAck;
-      ack.site = conn->site;
-      ack.a = s.up.watermark();
-      AppendUnseq(conn, ack);
-      conn->acked = ack.a;
-    }
-  }
-  while (conn->pending() > 0) {
+  const uint8_t* data = nullptr;
+  while (size_t size = core_.Staged(conn->fd, &data)) {
     // MSG_NOSIGNAL: a peer that died with output pending must cost its
     // connection (EPIPE / ECONNRESET close it below), not the daemon.
-    ssize_t n = send(conn->fd, conn->out.data() + conn->out_off,
-                     conn->pending(), MSG_NOSIGNAL);
+    ssize_t n = send(conn->fd, data, size, MSG_NOSIGNAL);
     if (n > 0) {
-      stats_.bytes_out += static_cast<uint64_t>(n);
-      conn->out_off += static_cast<size_t>(n);
+      core_.Sent(conn->fd, static_cast<size_t>(n));
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    CloseConn(conn);
+    Close(conn);
     return;
   }
-  conn->out.clear();
-  conn->out_off = 0;
-  if (conn->close_after_drain) CloseConn(conn);
+  if (core_.WantsClose(conn->fd)) Close(conn);
 }
-
-void Coordinator::CloseConn(Conn* conn) {
-  if (conn->closed) return;
-  close(conn->fd);
-  conn->closed = true;
-  if (conn->site >= 0) {
-    Session& s = sessions_[static_cast<size_t>(conn->site)];
-    if (s.conn == conn) {
-      s.conn = nullptr;
-      // TCP delivered in order, so nothing can be parked in the reorder
-      // buffer; clear it anyway so a replayed prefix starts clean.
-      s.up.Reset(s.up.watermark());
-    }
-  }
-}
-
-// --- Session establishment ------------------------------------------------
-
-void Coordinator::FinishJoin(Conn* conn, const Message& join,
-                             const Message& hello) {
-  uint64_t status = 0;
-  int site = join.site;
-  Session* s = nullptr;
-  if (site < 0 || site >= options_.num_sites) {
-    status = 2;  // site id out of range
-  } else {
-    s = &sessions_[static_cast<size_t>(site)];
-    if (join.b != options_hash_) {
-      status = 1;  // fleet options mismatch
-    } else if (s->conn != nullptr) {
-      status = 3;  // duplicate live connection for this site
-    } else if (hello.b > s->down_journal.size()) {
-      status = 4;  // watermark from the future: corrupt snapshot
-    }
-    // A fresh (non-resume) join for a site the coordinator has already
-    // counted frames from is fine: deterministic replay from position 0
-    // regenerates the identical frames at the identical sequence numbers,
-    // and the dedup watermark swallows every one the coordinator already
-    // applied — a snapshot only shortens the replay, it isn't needed for
-    // correctness (docs/OPERATIONS.md, recovery matrix).
-  }
-
-  uint64_t resend_count =
-      (status == 0 && s != nullptr) ? s->down_journal.size() - hello.b : 0;
-  Message ack;
-  ack.type = MsgType::kJoinAck;
-  ack.site = site;
-  ack.a = status;
-  ack.b = (s != nullptr) ? s->up.watermark() : 0;
-  ack.c = resend_count;
-  AppendUnseq(conn, ack);
-  if (status != 0) {
-    conn->close_after_drain = true;
-    TryWrite(conn);
-    return;
-  }
-
-  conn->site = site;
-  conn->acked = ack.b;
-  s->conn = conn;
-  if (s->ever_joined) stats_.rejoins += 1;
-  s->ever_joined = true;
-
-  // Catch-up re-blast: every journaled downlink frame the site has not
-  // applied, re-staged in order at its original sequence number. This
-  // necessarily includes every grant and broadcast decision the resumed
-  // replay will block on — decisions are emitted after the reports that
-  // trigger them, so their seqs all exceed the snapshot's watermark.
-  s->down.Reset(hello.b + 1);
-  for (size_t j = hello.b; j < s->down_journal.size(); ++j) {
-    std::vector<uint8_t> frame;
-    s->down.Stage(s->down_journal[j], 0, &frame);
-    stats_.resend_frames += 1;
-    stats_.resend_bytes += frame.size();
-    AppendOut(conn, frame);
-  }
-  TryWrite(conn);
-}
-
-// --- Scheduler ------------------------------------------------------------
-
-void Coordinator::Grant(int site, uint64_t want, bool exclusive) {
-  order_journal_.push_back(GrantEntry{site, want, exclusive});
-  Message grant;
-  grant.type = MsgType::kGrant;
-  grant.site = site;
-  grant.a = want;
-  grant.b = ++grant_ordinal_;
-  StageDown(site, grant);
-}
-
-void Coordinator::TrySchedule() {
-  // Lockstep only; freerun grants each request as it arrives. Strict
-  // rotation: the turn holder's want goes out next, so no site runs
-  // ahead of the others and the journal is a pure function of the
-  // options. A grant the mirror certifies broadcast-free overlaps
-  // whatever is in flight; any other waits for the fleet to drain and
-  // runs alone. At most k - 1 grants overlap: the coordinator is on every
-  // handoff, and with all k sites busy on a host of k cores it waits for
-  // a core behind a running site, so the rotation's pace rides on the
-  // kernel scheduler and the host's other tenants; k - 1 leaves it one
-  // (perfbench rank_lockstep_k4 ingest: run-to-run spread about 15% ->
-  // 6%, for about a quarter of the throughput). A crashed site stalls
-  // the rotation at its turn until it resumes (consistency over
-  // availability).
-  if (options_.mode == RunMode::kFreerun) return;
-  const int k = options_.num_sites;
-  const int max_in_flight = std::max(1, k - 1);
-  while (!exclusive_) {
-    int skipped = 0;
-    while (skipped < k && sessions_[static_cast<size_t>(turn_)].done) {
-      turn_ = (turn_ + 1) % k;
-      ++skipped;
-    }
-    if (skipped == k) return;
-    Session& s = sessions_[static_cast<size_t>(turn_)];
-    if (s.want == 0) return;  // the turn holder has not asked yet
-    if (in_flight_ >= max_in_flight) return;  // the next kGrantDone frees one
-    uint64_t& granted = granted_[static_cast<size_t>(turn_)];
-    granted += s.want;
-    if (!decider_.CannotBroadcast(granted_)) {
-      if (in_flight_ > 0) {
-        granted -= s.want;
-        return;
-      }
-      exclusive_ = true;
-      stats_.exclusive_grants += 1;
-    }
-    Grant(turn_, s.want, exclusive_);
-    s.want = 0;
-    s.in_flight = true;
-    ++in_flight_;
-    stats_.peak_grants_in_flight = std::max(
-        stats_.peak_grants_in_flight, static_cast<uint64_t>(in_flight_));
-    turn_ = (turn_ + 1) % k;
-  }
-}
-
-// --- Delivered uplink frames ----------------------------------------------
-
-void Coordinator::DecideCoarse(int site, const Message& report,
-                               uint64_t up_seq) {
-  stats_.decisions += 1;
-  if (decider_.ApplyReport(report.a)) {
-    Message broadcast;
-    broadcast.type = MsgType::kBroadcast;
-    broadcast.site = -1;
-    broadcast.epoch = decider_.round;
-    broadcast.a = decider_.round;
-    broadcast.b = decider_.n_bar;
-    broadcast.paper_words = 1;
-    stats_.broadcasts += 1;
-    stats_.paper_messages += static_cast<uint64_t>(options_.num_sites);
-    stats_.paper_words +=
-        sim::wire::PaperWordCharge(broadcast, options_.num_sites);
-    for (int target = 0; target < options_.num_sites; ++target) {
-      Message copy = broadcast;
-      copy.c = (target == site) ? up_seq : 0;
-      StageDown(target, copy);
-    }
-  } else {
-    Message quiet;
-    quiet.type = MsgType::kNoBroadcast;
-    quiet.site = site;
-    quiet.a = up_seq;
-    StageDown(site, quiet);
-  }
-}
-
-void Coordinator::ApplyDelivered(int site, Message msg, uint64_t up_seq) {
-  uint64_t charge = sim::wire::PaperWordCharge(msg, options_.num_sites);
-  if (charge > 0) {
-    // A delivered data-plane frame is exactly one §1.1 upload; replays
-    // of journaled frames never reach here (sequence dedup).
-    stats_.paper_messages += 1;
-    stats_.paper_words += charge;
-  }
-  if (count_replica_) count_replica_->Apply(msg);
-  if (frequency_replica_) frequency_replica_->Apply(msg);
-  if (rank_replica_) rank_replica_->Apply(msg);
-
-  Session& s = sessions_[static_cast<size_t>(site)];
-  switch (msg.type) {
-    case MsgType::kCoarseReport:
-      DecideCoarse(site, msg, up_seq);
-      break;
-    case MsgType::kGrantRequest:
-      if (msg.a == 0) {
-        s.done = true;
-        TrySchedule();  // the rotation may be waiting at this site's turn
-      } else if (options_.mode == RunMode::kFreerun) {
-        Grant(site, msg.a, /*exclusive=*/false);
-      } else {
-        s.want = msg.a;
-        TrySchedule();
-      }
-      break;
-    case MsgType::kGrantDone:
-      s.position = msg.a;
-      if (s.in_flight) {
-        s.in_flight = false;
-        if (--in_flight_ == 0) exclusive_ = false;
-        TrySchedule();
-      }
-      break;
-    case MsgType::kRitualAck:
-      stats_.rituals_acked += 1;
-      s.rituals_acked += 1;
-      break;
-    default:
-      break;  // estimator frames: replica apply above was the whole job
-  }
-}
-
-void Coordinator::HandleSiteFrame(Conn* conn, Message msg, uint64_t seq) {
-  Session& s = sessions_[static_cast<size_t>(conn->site)];
-  if (msg.type == MsgType::kAck) {
-    s.down.Ack(msg.a);
-    return;
-  }
-  if (msg.type == MsgType::kJoin || msg.type == MsgType::kHello) return;
-  uint64_t before = s.up.watermark();
-  std::vector<Message> delivered;
-  s.up.Accept(seq, std::move(msg), &delivered);
-  for (size_t i = 0; i < delivered.size(); ++i) {
-    ApplyDelivered(conn->site, std::move(delivered[i]), before + 1 + i);
-  }
-}
-
-// --- Queries --------------------------------------------------------------
-
-sim::wire::Message Coordinator::Query(const Message& query) const {
-  Message result;
-  result.type = MsgType::kQueryResult;
-  result.site = -1;
-  result.a = query.a;
-  result.b = query.b;
-  uint64_t n_prime = decider_.n_prime;
-  switch (query.a) {
-    case kQueryCount: {
-      double est = 0;
-      if (count_replica_) est = count_replica_->Estimate(0);
-      result.values = {Bits(est), n_prime, decider_.round};
-      break;
-    }
-    case kQueryPoint:
-      if (frequency_replica_) {
-        result.values = {Bits(frequency_replica_->Estimate(query.b))};
-      }
-      break;
-    case kQueryHeavyHitters:
-      if (frequency_replica_) {
-        double phi = 0;
-        uint64_t bits = query.b;
-        memcpy(&phi, &bits, sizeof(phi));
-        double threshold = phi * static_cast<double>(n_prime);
-        for (const auto& [item, est] : frequency_replica_->ItemEstimates()) {
-          if (est >= threshold) {
-            result.values.push_back(item);
-            result.values.push_back(Bits(est));
-          }
-        }
-      }
-      break;
-    case kQueryRank:
-      if (rank_replica_) {
-        result.values = {Bits(rank_replica_->Estimate(query.b))};
-      }
-      break;
-    case kQueryQuantile:
-      if (rank_replica_) {
-        double phi = 0;
-        uint64_t bits = query.b;
-        memcpy(&phi, &bits, sizeof(phi));
-        auto [value, est] = rank_replica_->Quantile(
-            phi * static_cast<double>(n_prime), options_.universe);
-        result.values = {value, Bits(est)};
-      }
-      break;
-    case kQueryStats: {
-      uint64_t sites_done = 0, dup_frames = 0;
-      for (const Session& s : sessions_) {
-        if (Settled(s)) ++sites_done;
-        dup_frames += s.up.duplicates();
-      }
-      uint64_t pending_out = PendingOutBytes();
-      uint64_t ledger_ok =
-          (stats_.bytes_in == stats_.encoded_in &&
-           stats_.bytes_out + pending_out == stats_.encoded_out)
-              ? 1
-              : 0;
-      result.values = {sites_done,
-                       static_cast<uint64_t>(options_.num_sites),
-                       stats_.frames_in,
-                       stats_.frames_out,
-                       stats_.bytes_in,
-                       stats_.bytes_out,
-                       stats_.encoded_in,
-                       stats_.encoded_out,
-                       pending_out,
-                       stats_.resend_frames,
-                       stats_.resend_bytes,
-                       dup_frames,
-                       stats_.paper_messages,
-                       stats_.paper_words,
-                       stats_.broadcasts,
-                       stats_.rejoins,
-                       stats_.decisions,
-                       ledger_ok};
-      break;
-    }
-    case kQueryJournal:
-      for (const GrantEntry& entry : order_journal_) {
-        result.values.push_back(static_cast<uint64_t>(entry.site));
-        result.values.push_back(entry.length);
-      }
-      break;
-    default:
-      break;  // unknown kind: empty result, c = 0
-  }
-  result.c = result.values.size();
-  return result;
-}
-
-void Coordinator::AnswerQuery(Conn* conn, const Message& query) {
-  AppendUnseq(conn, Query(query));
-  TryWrite(conn);
-}
-
-void Coordinator::BeginShutdown() {
-  if (shutting_down_) return;
-  shutting_down_ = true;
-  for (int site = 0; site < options_.num_sites; ++site) {
-    Message bye;
-    bye.type = MsgType::kShutdown;
-    bye.site = site;
-    bye.a = 0;
-    StageDown(site, bye);
-  }
-}
-
-// --- Frame dispatch -------------------------------------------------------
-
-void Coordinator::HandleFrame(Conn* conn, Message msg, uint64_t seq) {
-  ++handled_in_round_;
-  stats_.frames_in += 1;
-  stats_.encoded_in += sim::wire::EncodedSize(msg);
-
-  if (conn->site >= 0) {
-    HandleSiteFrame(conn, std::move(msg), seq);
-    return;
-  }
-  // Unidentified connection: the first frame decides what it is.
-  switch (msg.type) {
-    case MsgType::kJoin:
-      conn->join = msg;
-      conn->has_join = true;
-      break;
-    case MsgType::kHello:
-      if (conn->has_join) FinishJoin(conn, conn->join, msg);
-      break;
-    case MsgType::kQuery:
-      conn->is_client = true;
-      AnswerQuery(conn, msg);
-      break;
-    case MsgType::kShutdown:
-      conn->is_client = true;
-      BeginShutdown();
-      break;
-    case MsgType::kAck:
-      break;
-    default:
-      CloseConn(conn);
-      break;
-  }
-}
-
-// --- Event loop -----------------------------------------------------------
 
 int Coordinator::PollOnce(int timeout_ms) {
-  handled_in_round_ = 0;
-
   std::vector<pollfd> fds;
-  fds.reserve(listeners_.size() + conns_.size());
+  fds.reserve(listeners_.size() + 1 + conns_.size());
   for (int fd : listeners_) fds.push_back(pollfd{fd, POLLIN, 0});
-  std::vector<Conn*> polled;
-  for (auto& conn : conns_) {
-    if (conn->closed) continue;
+  const size_t first_conn = fds.size() + (signal_fd_ >= 0 ? 1 : 0);
+  if (signal_fd_ >= 0) fds.push_back(pollfd{signal_fd_, POLLIN, 0});
+  const size_t polled = conns_.size();
+  for (const Conn& conn : conns_) {
+    size_t pending = core_.pending(conn.fd);
     short events = 0;
-    if (conn->pending() < kBackpressureBytes) events |= POLLIN;
-    if (conn->pending() > 0) events |= POLLOUT;
-    fds.push_back(pollfd{conn->fd, events, 0});
-    polled.push_back(conn.get());
+    if (pending < kBackpressureBytes) events |= POLLIN;
+    if (pending > 0) events |= POLLOUT;
+    fds.push_back(pollfd{conn.fd, events, 0});
   }
 
   int ready = poll(fds.data(), fds.size(), timeout_ms);
@@ -562,11 +105,18 @@ int Coordinator::PollOnce(int timeout_ms) {
       AdoptConnection(fd);
     }
   }
+  if (signal_fd_ >= 0 && (fds[first_conn - 1].revents & POLLIN) != 0) {
+    uint8_t drain[64];
+    while (read(signal_fd_, drain, sizeof(drain)) > 0) {
+    }
+    core_.BeginShutdown();
+  }
 
+  int handled = 0;
   uint8_t buf[65536];
-  for (size_t i = 0; i < polled.size(); ++i) {
-    Conn* conn = polled[i];
-    short revents = fds[listeners_.size() + i].revents;
+  for (size_t i = 0; i < polled; ++i) {
+    Conn* conn = &conns_[i];
+    short revents = fds[first_conn + i].revents;
     if (conn->closed || revents == 0) continue;
     if (revents & (POLLOUT | POLLERR | POLLHUP)) TryWrite(conn);
     if (conn->closed || (revents & POLLIN) == 0) continue;
@@ -579,25 +129,12 @@ int Coordinator::PollOnce(int timeout_ms) {
         eof = true;
         break;
       }
-      stats_.bytes_in += static_cast<uint64_t>(n);
-      conn->reader.Append(buf, static_cast<size_t>(n));
+      handled += core_.Receive(conn->fd, buf, static_cast<size_t>(n));
+      if (core_.WantsClose(conn->fd)) break;
       if (static_cast<size_t>(n) < sizeof(buf)) break;  // drained for now
     }
-    for (;;) {
-      Message msg;
-      uint64_t seq = 0;
-      FrameReader::Result r = conn->reader.Next(&msg, &seq);
-      if (r == FrameReader::Result::kNeed) break;
-      if (r == FrameReader::Result::kError) {
-        eof = true;
-        break;
-      }
-      HandleFrame(conn, std::move(msg), seq);
-      if (conn->closed) break;
-    }
-    if (conn->closed) continue;
     if (eof) {
-      CloseConn(conn);
+      Close(conn);
       continue;
     }
     // Push responses out now: a site may be parked on one of these frames.
@@ -605,22 +142,45 @@ int Coordinator::PollOnce(int timeout_ms) {
   }
   // Frames staged for other sites this round (a grant handed on, a
   // broadcast fanned out) go out now, not after another poll.
-  for (auto& conn : conns_) {
-    if (!conn->closed && conn->pending() > 0) TryWrite(conn.get());
+  for (Conn& conn : conns_) {
+    if (!conn.closed && (core_.pending(conn.fd) > 0 ||
+                         core_.WantsClose(conn.fd))) {
+      TryWrite(&conn);
+    }
   }
 
   conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                              [](const std::unique_ptr<Conn>& c) {
-                                return c->closed;
-                              }),
+                              [](const Conn& c) { return c.closed; }),
                conns_.end());
-  return handled_in_round_;
+  return handled;
 }
 
 int Coordinator::RunUntilShutdown() {
-  while (!ShutdownComplete()) {
-    if (PollOnce(100) < 0) return 1;
+  int pipe_fds[2];
+  if (pipe(pipe_fds) != 0) return 1;
+  SetNonBlocking(pipe_fds[0], true);
+  SetNonBlocking(pipe_fds[1], true);
+  signal_fd_ = pipe_fds[0];
+  g_signal_pipe = pipe_fds[1];
+  struct sigaction wake = {};
+  wake.sa_handler = WakeOnSignal;
+  sigemptyset(&wake.sa_mask);
+  struct sigaction old_term = {}, old_int = {};
+  sigaction(SIGTERM, &wake, &old_term);
+  sigaction(SIGINT, &wake, &old_int);
+
+  bool poll_failed = false;
+  while (!core_.ShutdownComplete() && !poll_failed) {
+    poll_failed = PollOnce(100) < 0;
   }
+
+  sigaction(SIGTERM, &old_term, nullptr);
+  sigaction(SIGINT, &old_int, nullptr);
+  g_signal_pipe = -1;
+  signal_fd_ = -1;
+  close(pipe_fds[0]);
+  close(pipe_fds[1]);
+  if (poll_failed) return 1;
   return 0;
 }
 

@@ -1,100 +1,38 @@
-// The coordinator daemon: k tracker site-halves behind sockets, one
-// non-blocking poll() event loop (tentpole of the service PR).
-//
-// The coordinator owns the global protocol state the sites must agree
-// on: the coarse threshold (one CoarseMirror decides every broadcast),
-// the estimator replicas (sim/replica.h — rebuilt from delivered frames
-// alone, bit-identical to the serial tracker's coordinator half), the
-// lockstep admission scheduler with its grant order journal, and the
-// per-site reliable channels with their downlink journals for reconnect
-// catch-up. Queries (current count / heavy hitters / quantiles / stats /
-// order journal) are answered from the replicas at any time, including
-// mid-stream.
-//
-// Lockstep admission is certified and concurrent. Grants go out in
-// strict site rotation; the turn holder's want is issued once fewer than
-// k - 1 grants are in flight (so the coordinator keeps a core when k
-// sites share a k-core host) and CoarseMirror::CannotBroadcast certifies
-// that no interleaving of the runs granted so far, plus this one, can
-// broadcast. An uncertified want waits until every grant in flight is
-// done and then runs alone: once the fleet has drained, the projection
-// is exact, so the exclusive grants are exactly the ones that carry a
-// broadcast. Broadcast frames are staged on each site's FIFO downlink
-// before any later grant, so every site applies each ritual at its
-// journal position, and within a window of overlapping grants the sites
-// touch no shared state. The fleet therefore stays bit-identical to the
-// serial replay of the journal (docs/ARCHITECTURE.md, determinism tiers).
+// The coordinator daemon's I/O shell: listeners, accept, non-blocking
+// reads and writes, and one poll() event loop around a CoordinatorCore
+// (coordinator_core.h), which holds every protocol decision.
 //
 // Event loop contract: the loop never blocks on any one connection —
-// reads are non-blocking and framed by FrameReader, writes buffer and
-// drain on POLLOUT, and a site whose output buffer exceeds the
-// backpressure cap simply stops being read until it drains. A site
-// parked on a broadcast decision is unblocked by the ordinary write
-// path; the coordinator never needs to wait for it.
+// reads are non-blocking and handed to the core as they come, writes
+// drain the core's staged bytes on POLLOUT, and a connection whose unsent
+// output exceeds the backpressure cap simply stops being read until it
+// drains. A site parked on a broadcast decision is unblocked by the
+// ordinary write path; the coordinator never needs to wait for it.
 //
-// Fault model (docs/OPERATIONS.md): a site connection dying mid-grant
-// stalls the rotation at that site's next turn, and an exclusive grant
-// waits for the crashed site's run to drain, until the site resumes and
-// completes its run at its original journal position. That trades
-// availability for the tier-A bit-identity guarantee; freerun mode keeps
-// granting and settles for ε-accuracy.
+// Shutdown: a client's kShutdown, or SIGTERM / SIGINT while
+// RunUntilShutdown runs (a self-pipe in the poll set), fans kShutdown out
+// to every site; the loop then drains and exits once every site
+// connection has closed.
 
 #ifndef DISTTRACK_SERVICE_COORDINATOR_H_
 #define DISTTRACK_SERVICE_COORDINATOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "disttrack/service/framing.h"
+#include "disttrack/service/coordinator_core.h"
 #include "disttrack/service/options.h"
 #include "disttrack/service/socket.h"
-#include "disttrack/sim/replica.h"
-#include "disttrack/sim/transport.h"
 #include "disttrack/sim/wire.h"
 
 namespace disttrack {
 namespace service {
 
-/// kQuery.a values (parameters in kQuery.b; doubles bit-cast to u64).
-enum QueryKind : uint64_t {
-  kQueryCount = 0,         ///< -> [est bits, n', round]
-  kQueryPoint = 1,         ///< b = item -> [est bits]       (frequency)
-  kQueryHeavyHitters = 2,  ///< b = phi bits -> item/est-bit pairs with
-                           ///< est >= phi * n'               (frequency)
-  kQueryRank = 3,          ///< b = value -> [est bits]       (rank)
-  kQueryQuantile = 4,      ///< b = phi bits -> [value, est bits]  (rank)
-  kQueryStats = 5,         ///< -> fixed stats vector (see Stats::ToValues)
-  kQueryJournal = 6,       ///< -> grant order journal as site/len pairs
-};
-
 class Coordinator {
  public:
-  /// Wire/paper ledgers. The paper channel mirrors CommMeter §1.1
-  /// semantics exactly: one message + max(1, words) words per delivered
-  /// uplink data frame, k messages + k words per derived broadcast;
-  /// duplicates (crash replays) and service-plane frames charge nothing.
-  struct Stats {
-    uint64_t frames_in = 0, frames_out = 0;
-    uint64_t bytes_in = 0, bytes_out = 0;      ///< socket read()/write()
-    uint64_t encoded_in = 0, encoded_out = 0;  ///< Σ wire::EncodedSize
-    uint64_t resend_frames = 0, resend_bytes = 0;  ///< rejoin re-blasts
-    uint64_t paper_messages = 0, paper_words = 0;
-    uint64_t broadcasts = 0, decisions = 0;
-    uint64_t rejoins = 0, rituals_acked = 0;
-    // Lockstep admission (in-process only; not in the kQueryStats vector).
-    uint64_t peak_grants_in_flight = 0;
-    uint64_t exclusive_grants = 0;  ///< uncertified grants, run alone
-  };
-
-  /// One journaled grant. `exclusive` marks a grant that was not
-  /// certified broadcast-free and therefore ran with the fleet drained.
-  struct GrantEntry {
-    int site = 0;
-    uint64_t length = 0;
-    bool exclusive = false;
-  };
+  using Stats = CoordinatorCore::Stats;
+  using GrantEntry = CoordinatorCore::GrantEntry;
 
   explicit Coordinator(const ServiceOptions& options);
   ~Coordinator();
@@ -112,106 +50,34 @@ class Coordinator {
   /// number of frames handled, or -1 on poll failure.
   int PollOnce(int timeout_ms);
 
-  /// Daemon main loop: poll until a client kShutdown has been fanned out
-  /// and every site connection has drained and closed.
+  /// Daemon main loop: poll until a client kShutdown or a SIGTERM /
+  /// SIGINT has been fanned out and every site connection has drained
+  /// and closed.
   int RunUntilShutdown();
 
-  bool ShutdownComplete() const;
-  /// True once every site is settled (see Settled): the stream is over
-  /// and no frame any site still owes can change an answer.
-  bool AllSitesDone() const;
-  const Stats& stats() const { return stats_; }
-  uint64_t site_position(int site) const;
-  /// The grant order journal (kQueryJournal serves site/length pairs).
-  const std::vector<GrantEntry>& journal() const { return order_journal_; }
+  bool ShutdownComplete() const { return core_.ShutdownComplete(); }
+  bool AllSitesDone() const { return core_.AllSitesDone(); }
+  const Stats& stats() const { return core_.stats(); }
+  const std::vector<GrantEntry>& journal() const { return core_.journal(); }
 
   /// Answers a query in-process (same code path as the wire API).
-  sim::wire::Message Query(const sim::wire::Message& query) const;
+  sim::wire::Message Query(const sim::wire::Message& query) const {
+    return core_.Query(query);
+  }
 
  private:
   struct Conn {
     int fd = -1;
-    FrameReader reader;
-    std::vector<uint8_t> out;
-    size_t out_off = 0;
-    int site = -1;  ///< joined site id, -1 until kJoin completes
-    bool is_client = false;
-    bool has_join = false;
-    sim::wire::Message join;
-    bool close_after_drain = false;
     bool closed = false;
-    uint64_t acked = 0;  ///< uplink watermark last acked to the site
-    size_t pending() const { return out.size() - out_off; }
   };
 
-  struct Session {
-    Conn* conn = nullptr;
-    sim::ReliableReceiver up;
-    sim::ReliableSender down;
-    std::vector<sim::wire::Message> down_journal;  ///< seq i+1 at index i
-    uint64_t position = 0;
-    bool ever_joined = false;
-    bool done = false;            ///< end-of-stream kGrantRequest delivered
-    uint64_t rituals_acked = 0;   ///< kRitualAck frames delivered
-    uint64_t want = 0;            ///< pending lockstep request (0 = none)
-    bool in_flight = false;       ///< granted, kGrantDone not yet delivered
-  };
-
-  void HandleFrame(Conn* conn, sim::wire::Message msg, uint64_t seq);
-  void HandleSiteFrame(Conn* conn, sim::wire::Message msg, uint64_t seq);
-  void ApplyDelivered(int site, sim::wire::Message msg, uint64_t up_seq);
-  void DecideCoarse(int site, const sim::wire::Message& report,
-                    uint64_t up_seq);
-  void FinishJoin(Conn* conn, const sim::wire::Message& join,
-                  const sim::wire::Message& hello);
-  void TrySchedule();
-  void Grant(int site, uint64_t want, bool exclusive);
-  void AnswerQuery(Conn* conn, const sim::wire::Message& query);
-  void BeginShutdown();
-
-  /// Journals + stages one sequenced downlink frame for `site`.
-  void StageDown(int site, sim::wire::Message msg);
-  void AppendOut(Conn* conn, const std::vector<uint8_t>& bytes);
-  void AppendUnseq(Conn* conn, const sim::wire::Message& msg);
-  /// A site has ended its stream and acked every broadcast. Each
-  /// broadcast goes to every site, and a site stages the correction
-  /// frames of its ritual before the kRitualAck, so a settled site has
-  /// delivered all it will ever send. Stream end alone is not enough: a
-  /// site that finished early still answers later broadcasts.
-  bool Settled(const Session& s) const {
-    return s.done && s.rituals_acked == stats_.broadcasts;
-  }
   void TryWrite(Conn* conn);
-  void CloseConn(Conn* conn);
-  uint64_t PendingOutBytes() const;
+  void Close(Conn* conn);
 
-  ServiceOptions options_;
-  uint64_t options_hash_ = 0;
-
+  CoordinatorCore core_;
   std::vector<int> listeners_;
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::vector<Session> sessions_;
-
-  // Broadcast decisions: one mirror, fed every delivered coarse report in
-  // coordinator arrival order (the replicas keep their own copies).
-  sim::CoarseMirror decider_;
-  std::unique_ptr<sim::CountReplica> count_replica_;
-  std::unique_ptr<sim::FrequencyReplica> frequency_replica_;
-  std::unique_ptr<sim::RankReplica> rank_replica_;
-
-  // Lockstep admission (TrySchedule): the rotation cursor, the arrivals
-  // granted to each site so far, and the grants not yet done. While
-  // exclusive_ is set, the one grant in flight is uncertified.
-  int turn_ = 0;
-  std::vector<uint64_t> granted_;
-  int in_flight_ = 0;
-  bool exclusive_ = false;
-  uint64_t grant_ordinal_ = 0;
-  std::vector<GrantEntry> order_journal_;
-
-  bool shutting_down_ = false;
-  int handled_in_round_ = 0;
-  Stats stats_;
+  std::vector<Conn> conns_;  ///< the fd is the connection's core id
+  int signal_fd_ = -1;       ///< self-pipe read end in RunUntilShutdown
 };
 
 }  // namespace service

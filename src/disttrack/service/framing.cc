@@ -23,6 +23,11 @@ FrameReader::Result FrameReader::Next(sim::wire::Message* msg, uint64_t* seq) {
     error_ = "stream desync: bytes do not open a known frame";
     return Result::kError;
   }
+  if (frame_size > kMaxFrameBytes) {
+    error_ = "stream desync: frame announces " + std::to_string(frame_size) +
+             " bytes";
+    return Result::kError;
+  }
   if (avail < frame_size) return Result::kNeed;
   if (!sim::wire::DecodeFrame(head, frame_size, msg, seq)) {
     error_ = "stream desync: frame failed payload/CRC validation";

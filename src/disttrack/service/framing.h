@@ -13,7 +13,8 @@
 // A stream that desyncs (bad magic / unknown version / CRC mismatch) is
 // unrecoverable by design — frames carry no resync marker — so the reader
 // latches a permanent error and the connection must be dropped; the
-// reliable-channel layer above recovers by reconnect + retransmit.
+// session layer above recovers by reconnecting and resuming from the
+// sequence watermarks (service/site_core.h).
 
 #ifndef DISTTRACK_SERVICE_FRAMING_H_
 #define DISTTRACK_SERVICE_FRAMING_H_
@@ -30,6 +31,11 @@ namespace service {
 
 class FrameReader {
  public:
+  /// A header announcing a longer frame desyncs the stream: no honest
+  /// peer sends one, and buffering toward it would let a peer claim
+  /// gigabytes with one header.
+  static constexpr size_t kMaxFrameBytes = size_t{64} << 20;
+
   /// Feeds `size` raw stream bytes into the reassembly buffer.
   void Append(const uint8_t* data, size_t size);
 

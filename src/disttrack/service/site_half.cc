@@ -1,5 +1,7 @@
 #include "disttrack/service/site_half.h"
 
+#include <type_traits>
+
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
@@ -9,55 +11,13 @@ namespace service {
 
 namespace {
 
-// The keyed halves' run: one scalar replay arrival per key. Any arrival
-// may emit a frame, so `stop` is polled after each.
 template <typename Tracker>
-uint64_t KeyedRun(Tracker* tracker, const ServiceOptions& options, int site,
-                  uint64_t first_index, uint64_t count,
-                  const std::function<bool()>& stop) {
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t key = WorkloadKey(options, site, first_index + i);
-    tracker->ReplayCrashArrive(site, key, nullptr);
-    if (stop && stop()) return i + 1;
-  }
-  return count;
-}
-
-class CountHalf : public SiteHalf {
+class TrackerHalf : public SiteHalf {
  public:
-  CountHalf(const ServiceOptions& options, int site)
-      : tracker_(options.CountOptions()), site_(site) {
-    tracker_.BeginCrashReplay(site_);
-  }
-  void set_wire_tap(sim::wire::WireTap* tap) override {
-    tracker_.set_wire_tap(tap);
-  }
-  uint64_t ArriveRun(uint64_t /*first_index*/, uint64_t count,
-                     const std::function<bool()>& stop) override {
-    return tracker_.ReplayCrashRun(site_, count, stop);
-  }
-  void ApplyRitual(uint64_t n_bar) override {
-    tracker_.ReplayCrashRitual(site_, n_bar);
-  }
-  bool SnapshotReady() const override {
-    return tracker_.SiteSnapshotReady(site_);
-  }
-  void Serialize(std::vector<uint64_t>* out) const override {
-    tracker_.SerializeSiteState(site_, out);
-  }
-  void Restore(const std::vector<uint64_t>& blob) override {
-    tracker_.RestoreSiteState(site_, blob);
-  }
-
- private:
-  count::RandomizedCountTracker tracker_;
-  int site_;
-};
-
-class FrequencyHalf : public SiteHalf {
- public:
-  FrequencyHalf(const ServiceOptions& options, int site)
-      : options_(options), tracker_(options.FrequencyOptions()), site_(site) {
+  template <typename TrackerOptions>
+  TrackerHalf(const ServiceOptions& options, int site,
+              const TrackerOptions& tracker_options)
+      : options_(options), tracker_(tracker_options), site_(site) {
     tracker_.BeginCrashReplay(site_);
   }
   void set_wire_tap(sim::wire::WireTap* tap) override {
@@ -65,7 +25,18 @@ class FrequencyHalf : public SiteHalf {
   }
   uint64_t ArriveRun(uint64_t first_index, uint64_t count,
                      const std::function<bool()>& stop) override {
-    return KeyedRun(&tracker_, options_, site_, first_index, count, stop);
+    if constexpr (std::is_same_v<Tracker, count::RandomizedCountTracker>) {
+      return tracker_.ReplayCrashRun(site_, count, stop);
+    } else {
+      // Keyed trackers: one scalar replay arrival per key. Any arrival
+      // may emit a frame, so `stop` is polled after each.
+      for (uint64_t i = 0; i < count; ++i) {
+        tracker_.ReplayCrashArrive(
+            site_, WorkloadKey(options_, site_, first_index + i));
+        if (stop && stop()) return i + 1;
+      }
+      return count;
+    }
   }
   void ApplyRitual(uint64_t n_bar) override {
     tracker_.ReplayCrashRitual(site_, n_bar);
@@ -82,40 +53,7 @@ class FrequencyHalf : public SiteHalf {
 
  private:
   ServiceOptions options_;
-  frequency::RandomizedFrequencyTracker tracker_;
-  int site_;
-};
-
-class RankHalf : public SiteHalf {
- public:
-  RankHalf(const ServiceOptions& options, int site)
-      : options_(options), tracker_(options.RankOptions()), site_(site) {
-    tracker_.set_detached_replay(true);
-    tracker_.BeginCrashReplay(site_);
-  }
-  void set_wire_tap(sim::wire::WireTap* tap) override {
-    tracker_.set_wire_tap(tap);
-  }
-  uint64_t ArriveRun(uint64_t first_index, uint64_t count,
-                     const std::function<bool()>& stop) override {
-    return KeyedRun(&tracker_, options_, site_, first_index, count, stop);
-  }
-  void ApplyRitual(uint64_t n_bar) override {
-    tracker_.ReplayCrashRitual(site_, n_bar);
-  }
-  bool SnapshotReady() const override {
-    return tracker_.SiteSnapshotReady(site_);
-  }
-  void Serialize(std::vector<uint64_t>* out) const override {
-    tracker_.SerializeSiteState(site_, out);
-  }
-  void Restore(const std::vector<uint64_t>& blob) override {
-    tracker_.RestoreSiteState(site_, blob);
-  }
-
- private:
-  ServiceOptions options_;
-  rank::RandomizedRankTracker tracker_;
+  Tracker tracker_;
   int site_;
 };
 
@@ -125,11 +63,15 @@ std::unique_ptr<SiteHalf> SiteHalf::Create(const ServiceOptions& options,
                                            int site) {
   switch (options.tracker) {
     case TrackerKind::kCount:
-      return std::make_unique<CountHalf>(options, site);
+      return std::make_unique<TrackerHalf<count::RandomizedCountTracker>>(
+          options, site, options.CountOptions());
     case TrackerKind::kFrequency:
-      return std::make_unique<FrequencyHalf>(options, site);
+      return std::make_unique<
+          TrackerHalf<frequency::RandomizedFrequencyTracker>>(
+          options, site, options.FrequencyOptions());
     case TrackerKind::kRank:
-      return std::make_unique<RankHalf>(options, site);
+      return std::make_unique<TrackerHalf<rank::RandomizedRankTracker>>(
+          options, site, options.RankOptions());
   }
   return nullptr;
 }

@@ -16,10 +16,11 @@
 // reentrant ritual lands at the exact program point the serial execution
 // performs it) or between runs (another site triggered the round).
 //
-// This is the same seam the fault harness replays crashes through, which
-// is what makes the distributed execution comparable to the serial
-// tracker bit for bit (robust_cluster.h proves the seam; the service
-// demo and tests/service_*.cc prove the daemon).
+// Replaying a site is also how a crashed site catches up after restoring
+// its snapshot, which is what makes the distributed execution comparable
+// to the serial tracker bit for bit, crashes included (the pump storms of
+// tests/fault_tolerance_test.cc, the service demo and tests/service_*.cc
+// prove it on the service code).
 
 #ifndef DISTTRACK_SERVICE_SITE_HALF_H_
 #define DISTTRACK_SERVICE_SITE_HALF_H_
@@ -38,7 +39,7 @@ namespace service {
 class SiteHalf {
  public:
   /// Builds the tracker for options.tracker and enters permanent replay
-  /// mode for `site` (rank trackers in detached-replay mode).
+  /// mode for `site`.
   static std::unique_ptr<SiteHalf> Create(const ServiceOptions& options,
                                           int site);
   virtual ~SiteHalf() = default;

@@ -1,16 +1,17 @@
 // Coordinator-side estimator replicas, rebuilt from delivered wire frames
-// alone (extracted from the fault harness in robust_cluster.cc so the
-// multi-process service coordinator can host the same mirrors).
+// alone.
 //
 // Each replica consumes the exact frame stream a tracker's WireTap emits
-// and reproduces the coordinator half of the estimator bit for bit: the
-// fault harness (robust_cluster.h) proves the property differentially at
-// every checkpoint, and the service daemon (service/coordinator.h) serves
-// its snapshot query API from these same classes. Delivery contract: per
-// site frames arrive in FIFO order and exactly once — the reliable
-// channel layer (transport.h) provides both under faults, and the TCP
-// sessions of the service provide them natively plus sequence-number
-// dedup across reconnects.
+// and reproduces the coordinator half of the estimator bit for bit. The
+// service coordinator (service/coordinator_core.h) serves its query API
+// from these classes, and the lockstep suites pin them against a serial
+// replay of the grant journal, fault-free and under the pump's fault
+// storms (tests/fault_tolerance_test.cc). Delivery contract: per site
+// frames arrive in FIFO order and exactly once — the service's streams
+// are FIFO, and sequence-number dedup (transport.h) drops the frames a
+// resumed site regenerates. The replicas trust their input: the
+// coordinator drops frames an honest site could not send (wrong site id,
+// RankReplica::Admits) before they get here.
 
 #ifndef DISTTRACK_SIM_REPLICA_H_
 #define DISTTRACK_SIM_REPLICA_H_
@@ -295,6 +296,27 @@ class RankReplica {
       : options_(options),
         sites_(static_cast<size_t>(options.num_sites)) {}
 
+  /// False if `msg` is a kRankSummary no honest site ships: its leaf
+  /// range must be nonempty and inside the most leaves any round so far
+  /// has had (a late frame from an earlier round is legitimate in
+  /// freerun), it holds no more values than the largest chunk so far has
+  /// arrivals and no more segments than a compactor has levels, and its
+  /// segment ends partition `values` in order (Quantile reads
+  /// values[0, end) of every segment).
+  bool Admits(const wire::Message& msg) const {
+    if (msg.type != wire::MsgType::kRankSummary) return true;
+    if (msg.a >= msg.b || msg.b > max_leaves_) return false;
+    if (msg.values.size() > max_chunk_ || msg.segments.size() > 64) {
+      return false;
+    }
+    uint64_t end = 0;
+    for (const auto& segment : msg.segments) {
+      if (segment.second < end) return false;
+      end = segment.second;
+    }
+    return end == msg.values.size();
+  }
+
   void Apply(const wire::Message& msg) {
     switch (msg.type) {
       case wire::MsgType::kCoarseReport:
@@ -534,6 +556,8 @@ class RankReplica {
     uint64_t block = std::max<uint64_t>(1, static_cast<uint64_t>(inv_p_));
     block = std::min(block, chunk_size_);
     num_leaves_ = static_cast<uint32_t>(CeilDiv(chunk_size_, block));
+    max_leaves_ = std::max(max_leaves_, num_leaves_);
+    max_chunk_ = std::max(max_chunk_, chunk_size_);
   }
 
   static double SummaryRankBelow(const StoredSummary& summary, uint64_t x) {
@@ -554,6 +578,8 @@ class RankReplica {
   double inv_p_ = 1.0;
   uint64_t chunk_size_ = 1;
   uint32_t num_leaves_ = 1;
+  uint32_t max_leaves_ = 1;  // over every round so far (Admits)
+  uint64_t max_chunk_ = 1;
   std::vector<Site> sites_;
 };
 

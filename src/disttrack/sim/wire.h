@@ -32,10 +32,9 @@
 // know (no silent forward parsing). Sequence numbers are per directed
 // link and assigned by the transport, not by the tracker.
 //
-// Byte accounting: EncodedSize() is exact, so the transport can charge
-// CommMeter's wire channels to the byte, and the differential harness
-// asserts   link bytes == first-transmission + retransmit + ack overhead
-// with equality (tests/fault_tolerance_test.cc).
+// Byte accounting: EncodedSize() is exact, so the service coordinator
+// reconciles every socket byte with the frames it encoded and decoded
+// (kQueryStats ledger_ok, docs/WIRE_PROTOCOL.md).
 
 #ifndef DISTTRACK_SIM_WIRE_H_
 #define DISTTRACK_SIM_WIRE_H_
@@ -105,7 +104,8 @@ enum class MsgType : uint8_t {
 ///   kRankSummary    a = first_leaf, b = end_leaf, + vectors   charged words
 ///   kRankResidual   a = leaf, b = value                       2 words
 ///   kAck            a = cumulative sequence number            transport-only
-///   kHello          a = downlink delivery watermark           transport-only
+///   kHello          a = next uplink seq, b = downlink         transport-only
+///                   delivery watermark
 ///
 /// Service plane (service/, all zero paper words):
 ///
@@ -172,9 +172,9 @@ size_t PeekFrameSize(const uint8_t* data, size_t size);
 
 /// Tracker-side emission hook. A tracker with a tap installed emits every
 /// protocol message it meters through OnMessage, exactly once, at the
-/// moment the §1.1 model would send it. The robust cluster installs a tap
-/// that frames the message and routes it through the fault-injected
-/// transport; with no tap installed the trackers behave exactly as
+/// moment the §1.1 model would send it. A service site (SiteCore)
+/// installs a tap that sequences and frames the message for the
+/// coordinator; with no tap installed the trackers behave exactly as
 /// before (direct-call sim).
 class WireTap {
  public:

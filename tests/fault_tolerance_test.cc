@@ -1,372 +1,339 @@
-// Differential fault-tolerance tests (robustness PR acceptance): a run
-// under any seeded fault schedule — drops, duplicates, reorders, delays,
-// site crashes mid-epoch, coordinator restarts — must end bit-identical
-// to the fault-free run for count, frequency, and rank, with the wire
-// bytes matching CommMeter's frame accounting exactly.
+// Fault storms on the service's own protocol code: the in-process pump
+// (service/fleet_pump.h) drives k SiteCores and one CoordinatorCore — the
+// cores under the daemons — through seeded storms of the faults a TCP
+// fleet can suffer: streams cut at a byte offset in either direction
+// (the site restarts from its last snapshot and rejoins), site crashes at
+// given arrival counts (back to back included), random read
+// fragmentation, and a seeded order among concurrently granted sites.
 //
-// The RobustReplay* engine already self-checks the strongest invariants
-// every arrival (replica estimate == tracker estimate at checkpoints,
-// per-arrival paper word charges, journal content equality, byte
-// conservation) and reports any violation through RobustReport::ok.
-// These tests drive the sweep, compare fault runs against the fault-free
-// baseline checkpoint-by-checkpoint, and cross-check the robust engine
-// against the serial and multi-threaded reference drivers.
-
-#include <gtest/gtest.h>
+// Every lockstep storm must end indistinguishable from the fault-free
+// run: the journal is the strict rotation, the final answers are
+// bit-identical to the fault-free pump and to the serial replay of the
+// journal, the §1.1 paper ledger is unchanged, and every site is
+// settled. One test ties the fault-free pump to a fork-based socket
+// fleet of the real shells.
 
 #include <cstdint>
-#include <cstring>
-#include <functional>
+#include <string>
 #include <vector>
 
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
-#include "disttrack/sim/cluster.h"
-#include "disttrack/sim/parallel_cluster.h"
-#include "disttrack/sim/robust_cluster.h"
-#include "disttrack/stream/workload.h"
+#include "disttrack/service/fleet_pump.h"
+#include "tests/service_fleet.h"
 
 namespace disttrack {
-namespace sim {
+namespace service {
 namespace {
+
+using sim::wire::Message;
+using namespace fleet_test;  // NOLINT(build/namespaces)
 
 constexpr int kSweepSeeds = 50;
 
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
+/// Rank probes: values spread over the universe.
+std::vector<uint64_t> RankProbes(const ServiceOptions& options) {
+  std::vector<uint64_t> probes;
+  for (uint64_t i = 1; i < 8; ++i) probes.push_back(options.universe / 8 * i);
+  return probes;
 }
 
-struct SweepStats {
-  uint64_t recoveries = 0;
-  uint64_t restarts = 0;
-  uint64_t deduped = 0;
-  uint64_t retransmissions = 0;
-  int seeds_with_restart = 0;
+/// The fleet's final answers, as bits: the count estimate; the frequency
+/// point estimates of the 16 hot items; the rank estimates at the probes
+/// plus the median's value and estimate.
+template <typename Coord>
+std::vector<uint64_t> Answers(const Coord& coordinator,
+                              const ServiceOptions& options) {
+  switch (options.tracker) {
+    case TrackerKind::kCount:
+      return {Ask(coordinator, kQueryCount).values[0]};
+    case TrackerKind::kFrequency: {
+      std::vector<uint64_t> out;
+      for (uint64_t item = 0; item < 16; ++item) {
+        out.push_back(Ask(coordinator, kQueryPoint, item).values[0]);
+      }
+      return out;
+    }
+    case TrackerKind::kRank: {
+      std::vector<uint64_t> out;
+      for (uint64_t value : RankProbes(options)) {
+        out.push_back(Ask(coordinator, kQueryRank, value).values[0]);
+      }
+      Message median = Ask(coordinator, kQueryQuantile, Bits(0.5));
+      out.push_back(median.values[0]);
+      out.push_back(median.values[1]);
+      return out;
+    }
+  }
+  return {};
+}
+
+/// The same answers from a serial tracker replaying `journal`.
+std::vector<uint64_t> SerialAnswers(const ServiceOptions& options,
+                                    const std::vector<uint64_t>& journal,
+                                    uint64_t n_prime) {
+  // Calls arrive(site, shard index) in journal order.
+  auto replay = [&](auto arrive) {
+    std::vector<uint64_t> position(static_cast<size_t>(options.num_sites),
+                                   0);
+    for (size_t i = 0; i + 1 < journal.size(); i += 2) {
+      int site = static_cast<int>(journal[i]);
+      for (uint64_t j = 0; j < journal[i + 1]; ++j) {
+        arrive(site, position[static_cast<size_t>(site)]++);
+      }
+    }
+  };
+  switch (options.tracker) {
+    case TrackerKind::kCount: {
+      count::RandomizedCountTracker serial(options.CountOptions());
+      replay([&](int site, uint64_t) { serial.Arrive(site); });
+      return {Bits(serial.EstimateCount())};
+    }
+    case TrackerKind::kFrequency: {
+      frequency::RandomizedFrequencyTracker serial(
+          options.FrequencyOptions());
+      replay([&](int site, uint64_t index) {
+        serial.Arrive(site, WorkloadKey(options, site, index));
+      });
+      std::vector<uint64_t> out;
+      for (uint64_t item = 0; item < 16; ++item) {
+        out.push_back(Bits(serial.EstimateFrequency(item)));
+      }
+      return out;
+    }
+    case TrackerKind::kRank: {
+      rank::RandomizedRankTracker serial(options.RankOptions());
+      replay([&](int site, uint64_t index) {
+        serial.Arrive(site, WorkloadKey(options, site, index));
+      });
+      std::vector<uint64_t> out;
+      for (uint64_t value : RankProbes(options)) {
+        out.push_back(Bits(serial.EstimateRank(value)));
+      }
+      double target = 0.5 * static_cast<double>(n_prime);
+      uint64_t lo = 0, hi = options.universe;
+      while (lo < hi) {
+        uint64_t mid = lo + (hi - lo) / 2;
+        if (serial.EstimateRank(mid) < target) lo = mid + 1;
+        else hi = mid;
+      }
+      out.push_back(lo);
+      out.push_back(Bits(serial.EstimateRank(lo)));
+      return out;
+    }
+  }
+  return {};
+}
+
+/// What a finished run must reproduce exactly.
+struct Outcome {
+  std::vector<uint64_t> journal;
+  std::vector<uint64_t> answers;
+  std::vector<uint64_t> paper;  ///< messages, words, broadcasts
 };
 
-/// Runs `run(robust)` for the fault-free plan and for `kSweepSeeds` seeded
-/// storms, asserting every fault run is bit-identical to the baseline and
-/// byte-conserving; `*stats` collects what the storms exercised in
-/// aggregate. (Out-parameter: ASSERT_* needs a void function.)
-void RunSweep(const char* tag, uint64_t n, int k, uint64_t seed_base,
-              const std::function<RobustReport(const RobustOptions&)>& run,
-              SweepStats* stats) {
-  RobustOptions clean;
-  RobustReport base = run(clean);
-  ASSERT_TRUE(base.ok) << tag << " fault-free: " << base.error;
-  EXPECT_EQ(base.retransmit_bytes, 0u) << tag;  // nothing to recover from
-  EXPECT_EQ(base.retransmissions, 0u) << tag;
-  EXPECT_EQ(base.frames_deduped, 0u) << tag;
-  EXPECT_EQ(base.link_bytes_offered, base.wire_bytes + base.overhead_bytes)
-      << tag;
+Outcome Observe(const CoordinatorCore& coordinator,
+                const ServiceOptions& options) {
+  Outcome out;
+  out.journal = Ask(coordinator, kQueryJournal).values;
+  out.answers = Answers(coordinator, options);
+  const CoordinatorCore::Stats& stats = coordinator.stats();
+  out.paper = {stats.paper_messages, stats.paper_words, stats.broadcasts};
+  return out;
+}
 
+/// The fault-free pump run, pinned to the rotation and the serial replay.
+Outcome Baseline(const ServiceOptions& options) {
+  FleetPump pump(options);
+  std::string error;
+  EXPECT_TRUE(pump.Run(&error)) << error;
+  const CoordinatorCore& coordinator = pump.coordinator();
+  EXPECT_TRUE(coordinator.AllSitesDone());
+  Outcome base = Observe(coordinator, options);
+  EXPECT_EQ(base.journal, ExpectedRotation(options));
+  EXPECT_EQ(base.answers,
+            SerialAnswers(options, base.journal,
+                          Ask(coordinator, kQueryCount).values[1]));
+  EXPECT_EQ(coordinator.stats().rejoins, 0u);
+  EXPECT_EQ(Ask(coordinator, kQueryStats).values[17], 1u)
+      << "wire-byte ledger broken in a fault-free run";
+  return base;
+}
+
+/// Runs `kSweepSeeds` seeded storms against the fault-free baseline.
+void RunSweep(const ServiceOptions& options, uint64_t seed_base) {
+  const char* tag = TrackerKindName(options.tracker);
+  Outcome base = Baseline(options);
+  ASSERT_FALSE(::testing::Test::HasFailure()) << tag << " baseline";
+
+  uint64_t dup_frames = 0, cuts = 0, cuts_mid_frame = 0, crashes = 0;
   for (int i = 0; i < kSweepSeeds; ++i) {
     uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    RobustOptions faulty;
-    faulty.plan = FaultPlan::FromSeed(seed, n, k);
-    RobustReport report = run(faulty);
-    ASSERT_TRUE(report.ok)
-        << tag << " storm seed " << seed << ": " << report.error;
+    FleetPump pump(options, StormPlan::FromSeed(seed, options));
+    std::string error;
+    ASSERT_TRUE(pump.Run(&error)) << tag << " storm seed " << seed << ": "
+                                  << error;
+    const CoordinatorCore& coordinator = pump.coordinator();
+    ASSERT_TRUE(coordinator.AllSitesDone()) << tag << " seed " << seed;
+    Outcome storm = Observe(coordinator, options);
+    ASSERT_EQ(storm.journal, base.journal) << tag << " seed " << seed;
+    ASSERT_EQ(storm.answers, base.answers) << tag << " seed " << seed;
+    ASSERT_EQ(storm.paper, base.paper) << tag << " seed " << seed;
+    EXPECT_GE(coordinator.stats().rejoins, 1u) << tag << " seed " << seed;
+    dup_frames += Ask(coordinator, kQueryStats).values[11];
+    cuts += pump.report().cuts;
+    cuts_mid_frame += pump.report().cuts_mid_frame;
+    crashes += pump.report().crashes;
+  }
+  // What the sweep exercised, in aggregate.
+  EXPECT_GE(crashes, static_cast<uint64_t>(kSweepSeeds)) << tag;
+  EXPECT_GT(cuts, 0u) << tag;
+  EXPECT_GT(cuts_mid_frame, 0u) << tag << ": no cut split a frame";
+  EXPECT_GT(dup_frames, 0u) << tag << ": no replayed frame was deduplicated";
+}
 
-    // Bit-identical convergence at every checkpoint, for both the
-    // authoritative tracker and the frame-rebuilt replica.
-    ASSERT_EQ(report.checkpoints.size(), base.checkpoints.size())
-        << tag << " seed " << seed;
-    for (size_t c = 0; c < base.checkpoints.size(); ++c) {
-      EXPECT_EQ(report.checkpoints[c].n, base.checkpoints[c].n);
-      ASSERT_TRUE(SameBits(report.checkpoints[c].estimate,
-                           base.checkpoints[c].estimate))
-          << tag << " seed " << seed << " checkpoint n="
-          << base.checkpoints[c].n << ": " << report.checkpoints[c].estimate
-          << " != " << base.checkpoints[c].estimate;
-      ASSERT_TRUE(SameBits(report.checkpoints[c].replica_estimate,
-                           report.checkpoints[c].estimate))
-          << tag << " seed " << seed;
-      EXPECT_EQ(report.checkpoints[c].truth, base.checkpoints[c].truth);
+ServiceOptions StormFleet(TrackerKind tracker) {
+  ServiceOptions options;
+  options.tracker = tracker;
+  options.num_sites = 4;
+  options.epsilon = tracker == TrackerKind::kCount ? 0.1 : 0.2;
+  options.seed = 7;
+  options.total_arrivals = 4000;
+  options.grant_max = 64;
+  options.snapshot_every = 128;
+  return options;
+}
+
+TEST(FaultToleranceTest, CountStormsMatchTheFaultFreeRun) {
+  RunSweep(StormFleet(TrackerKind::kCount), 1000);
+}
+
+TEST(FaultToleranceTest, FrequencyStormsMatchTheFaultFreeRun) {
+  RunSweep(StormFleet(TrackerKind::kFrequency), 2000);
+}
+
+TEST(FaultToleranceTest, RankStormsMatchTheFaultFreeRun) {
+  RunSweep(StormFleet(TrackerKind::kRank), 3000);
+}
+
+TEST(FaultToleranceTest, StormPlanIsAFunctionOfTheSeed) {
+  ServiceOptions options = StormFleet(TrackerKind::kCount);
+  auto same = [](const StormPlan& a, const StormPlan& b) {
+    if (a.max_restart_delay != b.max_restart_delay) return false;
+    if (a.cuts.size() != b.cuts.size()) return false;
+    if (a.crashes.size() != b.crashes.size()) return false;
+    for (size_t i = 0; i < a.cuts.size(); ++i) {
+      if (a.cuts[i].site != b.cuts[i].site ||
+          a.cuts[i].downlink != b.cuts[i].downlink ||
+          a.cuts[i].offset != b.cuts[i].offset) {
+        return false;
+      }
     }
-
-    // The paper-model traffic is computed above the transport: faults
-    // must not change it at all.
-    EXPECT_EQ(report.paper_words, base.paper_words) << tag << " seed " << seed;
-    EXPECT_EQ(report.paper_messages, base.paper_messages)
-        << tag << " seed " << seed;
-
-    // First transmissions are the same frames in every run; all fault
-    // and recovery traffic lands in the other two channels, and every
-    // link byte is accounted for.
-    EXPECT_EQ(report.wire_bytes, base.wire_bytes) << tag << " seed " << seed;
-    EXPECT_EQ(report.link_bytes_offered,
-              report.wire_bytes + report.retransmit_bytes +
-                  report.overhead_bytes)
-        << tag << " seed " << seed;
-
-    EXPECT_GE(report.site_recoveries, 1u) << tag << " seed " << seed;
-    stats->recoveries += report.site_recoveries;
-    stats->restarts += report.coordinator_restarts;
-    stats->deduped += report.frames_deduped;
-    stats->retransmissions += report.retransmissions;
-    if (report.coordinator_restarts > 0) ++stats->seeds_with_restart;
-  }
-}
-
-void ExpectStormCoverage(const char* tag, const SweepStats& stats) {
-  // Every storm crashes at least one site; about half restart the
-  // coordinator; the link fault rates make duplicates and drops (hence
-  // retransmissions) near-certain over 50 storms.
-  EXPECT_GE(stats.recoveries, static_cast<uint64_t>(kSweepSeeds)) << tag;
-  EXPECT_GE(stats.seeds_with_restart, 10) << tag;
-  EXPECT_GT(stats.deduped, 0u) << tag;
-  EXPECT_GT(stats.retransmissions, 0u) << tag;
-}
-
-TEST(FaultToleranceTest, CountSweepConvergesBitIdentical) {
-  const int k = 4;
-  const uint64_t n = 3000;
-  count::RandomizedCountOptions opt;
-  opt.num_sites = k;
-  opt.epsilon = 0.1;
-  opt.seed = 42;
-  Workload w =
-      stream::MakeCountWorkload(k, n, stream::SiteSchedule::kUniformRandom, 7);
-
-  SweepStats stats;
-  RunSweep(
-      "count", n, k, 100,
-      [&](const RobustOptions& r) { return RobustReplayCount(opt, w, r); },
-      &stats);
-  ExpectStormCoverage("count", stats);
-}
-
-TEST(FaultToleranceTest, FrequencySweepConvergesBitIdentical) {
-  const int k = 4;
-  const uint64_t n = 2500;
-  frequency::RandomizedFrequencyOptions opt;
-  opt.num_sites = k;
-  opt.epsilon = 0.15;
-  opt.seed = 5;
-  Workload w = stream::MakeFrequencyWorkload(
-      k, n, stream::SiteSchedule::kUniformRandom, 64, 1.1, 11);
-  const uint64_t query = 2;
-
-  SweepStats stats;
-  RunSweep(
-      "frequency", n, k, 200,
-      [&](const RobustOptions& r) {
-        return RobustReplayFrequency(opt, w, query, r);
-      },
-      &stats);
-  ExpectStormCoverage("frequency", stats);
-}
-
-TEST(FaultToleranceTest, RankSweepConvergesBitIdentical) {
-  const int k = 4;
-  const uint64_t n = 2500;
-  rank::RandomizedRankOptions opt;
-  opt.num_sites = k;
-  opt.epsilon = 0.15;
-  opt.seed = 9;
-  Workload w = stream::MakeRankWorkload(
-      k, n, stream::SiteSchedule::kUniformRandom,
-      stream::ValueOrder::kUniformRandom, 20, 13);
-  const uint64_t query = 1ull << 19;
-
-  SweepStats stats;
-  RunSweep(
-      "rank", n, k, 300,
-      [&](const RobustOptions& r) {
-        return RobustReplayRank(opt, w, query, r);
-      },
-      &stats);
-  ExpectStormCoverage("rank", stats);
-}
-
-// The robust engine's scalar delivery must reproduce the serial reference
-// drivers exactly (same trackers, same checkpoint schedule), so the
-// fault-free robust run is a valid baseline for the sweep above.
-TEST(FaultToleranceTest, FaultFreeRobustMatchesSerialReplay) {
-  const int k = 5;
-  const uint64_t n = 2000;
-  {
-    count::RandomizedCountOptions opt;
-    opt.num_sites = k;
-    opt.epsilon = 0.1;
-    opt.seed = 3;
-    Workload w = stream::MakeCountWorkload(
-        k, n, stream::SiteSchedule::kRoundRobin, 19);
-    count::RandomizedCountTracker serial(opt);
-    std::vector<Checkpoint> ref = ReplayCount(&serial, w);
-    RobustReport robust = RobustReplayCount(opt, w, RobustOptions());
-    ASSERT_TRUE(robust.ok) << robust.error;
-    ASSERT_EQ(robust.checkpoints.size(), ref.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(robust.checkpoints[i].n, ref[i].n);
-      EXPECT_TRUE(SameBits(robust.checkpoints[i].estimate, ref[i].estimate));
-      EXPECT_EQ(robust.checkpoints[i].truth, ref[i].truth);
+    for (size_t i = 0; i < a.crashes.size(); ++i) {
+      if (a.crashes[i].site != b.crashes[i].site ||
+          a.crashes[i].after != b.crashes[i].after) {
+        return false;
+      }
     }
+    return true;
+  };
+  StormPlan a = StormPlan::FromSeed(1234, options);
+  EXPECT_TRUE(same(a, StormPlan::FromSeed(1234, options)));
+  ASSERT_GE(a.crashes.size(), 1u);  // every storm crashes a site
+  uint64_t shard = ShardSize(options, a.crashes[0].site);
+  EXPECT_LE(a.crashes[0].after, shard / 2);  // early enough to fire
+  int differ = 0;
+  for (uint64_t seed = 1235; seed < 1245; ++seed) {
+    if (!same(a, StormPlan::FromSeed(seed, options))) ++differ;
   }
-  {
-    frequency::RandomizedFrequencyOptions opt;
-    opt.num_sites = k;
-    opt.epsilon = 0.2;
-    opt.seed = 23;
-    Workload w = stream::MakeFrequencyWorkload(
-        k, n, stream::SiteSchedule::kSkewedGeometric, 64, 1.2, 29);
-    frequency::RandomizedFrequencyTracker serial(opt);
-    std::vector<Checkpoint> ref = ReplayFrequency(&serial, w, 1);
-    RobustReport robust = RobustReplayFrequency(opt, w, 1, RobustOptions());
-    ASSERT_TRUE(robust.ok) << robust.error;
-    ASSERT_EQ(robust.checkpoints.size(), ref.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_TRUE(SameBits(robust.checkpoints[i].estimate, ref[i].estimate));
-    }
-  }
-  {
-    rank::RandomizedRankOptions opt;
-    opt.num_sites = k;
-    opt.epsilon = 0.2;
-    opt.seed = 31;
-    // The robust engine delivers element-at-a-time; the reference batch
-    // driver is bit-identical to that only on the per-element compaction
-    // feed (batched compaction is equivalent in distribution, not bits —
-    // see batch_equivalence_test).
-    opt.use_batch_compaction = false;
-    Workload w = stream::MakeRankWorkload(
-        k, n, stream::SiteSchedule::kUniformRandom,
-        stream::ValueOrder::kClustered, 22, 37);
-    rank::RandomizedRankTracker serial(opt);
-    std::vector<Checkpoint> ref = ReplayRank(&serial, w, 1ull << 21);
-    RobustReport robust =
-        RobustReplayRank(opt, w, 1ull << 21, RobustOptions());
-    ASSERT_TRUE(robust.ok) << robust.error;
-    ASSERT_EQ(robust.checkpoints.size(), ref.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_TRUE(SameBits(robust.checkpoints[i].estimate, ref[i].estimate));
-    }
-  }
+  EXPECT_GE(differ, 9);
 }
 
-// Cross-check against the multi-threaded reference: a robust run under a
-// crash/restart-heavy storm must land on the same bits as ParallelCluster
-// replaying the same workload fault-free on a real thread pool. (This is
-// the test the TSan CI leg runs to sanity-check the pool under the
-// fault-tolerance workloads.)
-TEST(FaultToleranceTest, CrashRestartRunMatchesParallelCluster) {
-  const int k = 6;
-  const uint64_t n = 4000;
-  ParallelCluster pool(4);
-
-  RobustOptions storm;
-  storm.plan.seed = 424242;
-  storm.plan.drop_rate = 0.25;
-  storm.plan.duplicate_rate = 0.2;
-  storm.plan.reorder_rate = 0.3;
-  storm.plan.max_delay_ticks = 3;
-  storm.plan.snapshot_every = 16;
-  // Crash every site at least once, mid-stream; restart the coordinator
-  // twice.
-  for (int s = 0; s < k; ++s) {
-    storm.plan.site_crashes.push_back(
-        {n / 4 + static_cast<uint64_t>(s) * (n / (2 * k)), s});
-  }
-  storm.plan.coordinator_restarts = {n / 3, (2 * n) / 3};
-
-  {
-    count::RandomizedCountOptions opt;
-    opt.num_sites = k;
-    opt.epsilon = 0.1;
-    opt.seed = 71;
-    Workload w = stream::MakeCountWorkload(
-        k, n, stream::SiteSchedule::kUniformRandom, 73);
-    count::RandomizedCountTracker tracker(opt);
-    std::vector<Checkpoint> ref = pool.ReplayCount(&tracker, w);
-    RobustReport robust = RobustReplayCount(opt, w, storm);
-    ASSERT_TRUE(robust.ok) << robust.error;
-    EXPECT_EQ(robust.site_recoveries, static_cast<uint64_t>(k));
-    EXPECT_EQ(robust.coordinator_restarts, 2u);
-    ASSERT_EQ(robust.checkpoints.size(), ref.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_TRUE(SameBits(robust.checkpoints[i].estimate, ref[i].estimate))
-          << "count checkpoint " << i;
-    }
-  }
-  {
-    rank::RandomizedRankOptions opt;
-    opt.num_sites = k;
-    opt.epsilon = 0.2;
-    opt.seed = 79;
-    opt.use_batch_compaction = false;  // per-element feed: exact path
-    Workload w = stream::MakeRankWorkload(
-        k, n, stream::SiteSchedule::kUniformRandom,
-        stream::ValueOrder::kUniformRandom, 24, 83);
-    rank::RandomizedRankTracker tracker(opt);
-    std::vector<Checkpoint> ref = pool.ReplayRank(&tracker, w, 1ull << 23);
-    RobustReport robust = RobustReplayRank(opt, w, 1ull << 23, storm);
-    ASSERT_TRUE(robust.ok) << robust.error;
-    EXPECT_EQ(robust.site_recoveries, static_cast<uint64_t>(k));
-    ASSERT_EQ(robust.checkpoints.size(), ref.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_TRUE(SameBits(robust.checkpoints[i].estimate, ref[i].estimate))
-          << "rank checkpoint " << i;
-    }
-  }
-}
-
-// Degenerate schedules the storm generator never draws.
+// Schedules the storm generator never draws: one site crashing four
+// times, back to back; both directions of every other site cut
+// repeatedly; and every byte delivered in pieces, in a random site order.
 TEST(FaultToleranceTest, ExtremeSchedulesStillConverge) {
-  const int k = 3;
-  const uint64_t n = 800;
-  count::RandomizedCountOptions opt;
-  opt.num_sites = k;
-  opt.epsilon = 0.1;
-  opt.seed = 2;
-  Workload w = stream::MakeCountWorkload(
-      k, n, stream::SiteSchedule::kBursty, 3);
-  RobustReport base = RobustReplayCount(opt, w, RobustOptions());
-  ASSERT_TRUE(base.ok);
-
-  // Near-total loss: every frame retransmitted many times.
-  RobustOptions lossy;
-  lossy.plan.seed = 1;
-  lossy.plan.drop_rate = 0.9;
-  RobustReport r = RobustReplayCount(opt, w, lossy);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_GT(r.retransmissions, 0u);
-  ASSERT_EQ(r.checkpoints.size(), base.checkpoints.size());
-  for (size_t i = 0; i < base.checkpoints.size(); ++i) {
-    EXPECT_TRUE(SameBits(r.checkpoints[i].estimate,
-                         base.checkpoints[i].estimate));
+  for (TrackerKind tracker : {TrackerKind::kCount, TrackerKind::kRank}) {
+    ServiceOptions options = StormFleet(tracker);
+    Outcome base = Baseline(options);
+    StormPlan plan;
+    plan.seed = 99;
+    plan.shuffle = true;
+    plan.fragment = true;
+    plan.max_restart_delay = 2;
+    plan.crashes = {{0, 100}, {0, 1}, {0, 1}, {0, 50}};
+    for (int site = 1; site < options.num_sites; ++site) {
+      for (uint64_t offset : {700u, 3900u, 8100u}) {
+        plan.cuts.push_back({site, false, offset + 13u * site});
+        plan.cuts.push_back({site, true, offset / 2 + 7u * site});
+      }
+    }
+    FleetPump pump(options, plan);
+    std::string error;
+    ASSERT_TRUE(pump.Run(&error)) << error;
+    EXPECT_EQ(pump.report().crashes, 4u);
+    EXPECT_GE(pump.report().cuts, 6u);
+    Outcome storm = Observe(pump.coordinator(), options);
+    EXPECT_EQ(storm.journal, base.journal);
+    EXPECT_EQ(storm.answers, base.answers);
+    EXPECT_EQ(storm.paper, base.paper);
   }
+}
 
-  // Crash the same site repeatedly, including back-to-back.
-  RobustOptions crashy;
-  crashy.plan.seed = 2;
-  crashy.plan.duplicate_rate = 0.5;
-  crashy.plan.snapshot_every = 4;
-  crashy.plan.site_crashes = {{100, 0}, {100, 0}, {101, 0}, {400, 0}};
-  r = RobustReplayCount(opt, w, crashy);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.site_recoveries, 4u);
-  for (size_t i = 0; i < base.checkpoints.size(); ++i) {
-    EXPECT_TRUE(SameBits(r.checkpoints[i].estimate,
-                         base.checkpoints[i].estimate));
+// A cut after a site wrote frames its next snapshot covers leaves the
+// snapshot ahead of the coordinator: the join refuses it
+// (kJoinSnapshotAhead), and the site starts over from position 0 on the
+// same stream.
+TEST(FaultToleranceTest, SnapshotAheadOfTheCoordinatorIsRefused) {
+  ServiceOptions options = StormFleet(TrackerKind::kCount);
+  options.snapshot_every = 64;  // a snapshot at every boundary
+  Outcome base = Baseline(options);
+  uint64_t refused = 0;
+  for (uint64_t offset = 2000; offset < 12000 && refused == 0;
+       offset += 97) {
+    StormPlan plan;
+    plan.cuts = {{1, false, offset}};
+    FleetPump pump(options, plan);
+    std::string error;
+    ASSERT_TRUE(pump.Run(&error)) << "cut at " << offset << ": " << error;
+    Outcome storm = Observe(pump.coordinator(), options);
+    ASSERT_EQ(storm.answers, base.answers) << "cut at " << offset;
+    ASSERT_EQ(storm.paper, base.paper) << "cut at " << offset;
+    refused += pump.coordinator().stats().refused_resumes;
   }
+  EXPECT_GT(refused, 0u) << "no cut left a snapshot ahead of the coordinator";
+}
 
-  // Restart the coordinator every few hundred arrivals.
-  RobustOptions restarty;
-  restarty.plan.seed = 3;
-  restarty.plan.reorder_rate = 0.6;
-  restarty.plan.max_delay_ticks = 5;
-  restarty.plan.coordinator_restarts = {100, 200, 300, 400, 500, 600, 700};
-  r = RobustReplayCount(opt, w, restarty);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.coordinator_restarts, 7u);
-  for (size_t i = 0; i < base.checkpoints.size(); ++i) {
-    EXPECT_TRUE(SameBits(r.checkpoints[i].estimate,
-                         base.checkpoints[i].estimate));
+/// Runs a fork-based socket fleet of the real shells (the Coordinator's
+/// poll loop, one SiteRuntime process per site) to completion.
+Outcome RunSocketFleet(const ServiceOptions& options) {
+  ForkedFleet fleet(options);
+  fleet.StartAll();
+  EXPECT_TRUE(fleet.RunToCompletion());
+  Outcome out;
+  out.journal = Ask(fleet.coordinator(), kQueryJournal).values;
+  out.answers = Answers(fleet.coordinator(), options);
+  const Coordinator::Stats& stats = fleet.coordinator().stats();
+  out.paper = {stats.paper_messages, stats.paper_words, stats.broadcasts};
+  return out;
+}
+
+TEST(FaultToleranceTest, FaultFreePumpMatchesAForkedSocketFleet) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  for (TrackerKind tracker :
+       {TrackerKind::kCount, TrackerKind::kFrequency, TrackerKind::kRank}) {
+    ServiceOptions options = StormFleet(tracker);
+    options.total_arrivals = 20000;
+    options.grant_max = 256;
+    Outcome pump = Baseline(options);
+    Outcome socket = RunSocketFleet(options);
+    EXPECT_EQ(socket.journal, pump.journal) << TrackerKindName(tracker);
+    EXPECT_EQ(socket.answers, pump.answers) << TrackerKindName(tracker);
+    EXPECT_EQ(socket.paper, pump.paper) << TrackerKindName(tracker);
   }
 }
 
 }  // namespace
-}  // namespace sim
+}  // namespace service
 }  // namespace disttrack

@@ -9,29 +9,15 @@
 // and the coordinator's dedup watermark drops every one (the stats must
 // show them as duplicates, not as paper traffic).
 //
-// Fork-based like service_session_test.cc; skipped under TSan.
+// Fork-based (service_fleet.h); skipped under TSan.
 
 #include <errno.h>
-#include <signal.h>
-#include <stdlib.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
-#include <cstring>
 #include <set>
-#include <string>
-#include <vector>
-
-#include <gtest/gtest.h>
 
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/rank/randomized_rank.h"
-#include "disttrack/service/coordinator.h"
-#include "disttrack/service/options.h"
-#include "disttrack/service/site_runtime.h"
-#include "disttrack/service/socket.h"
-#include "disttrack/sim/wire.h"
+#include "tests/service_fleet.h"
 
 namespace disttrack {
 namespace service {
@@ -39,114 +25,7 @@ namespace {
 
 using sim::wire::Message;
 using sim::wire::MsgType;
-
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DISTTRACK_TSAN 1
-#endif
-#endif
-
-#ifndef DISTTRACK_TSAN
-#define DISTTRACK_TSAN 0
-#endif
-
-uint64_t Bits(double d) {
-  uint64_t bits = 0;
-  memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-class RecoveryFleet {
- public:
-  explicit RecoveryFleet(const ServiceOptions& options)
-      : options_(options), coordinator_(options) {
-    char tmpl[] = "/tmp/disttrack_recovery_XXXXXX";
-    const char* dir = mkdtemp(tmpl);
-    EXPECT_NE(dir, nullptr);
-    snapshot_dir_ = dir == nullptr ? "." : dir;
-  }
-
-  ~RecoveryFleet() {
-    for (pid_t pid : pids_) {
-      if (pid > 0) kill(pid, SIGKILL);
-    }
-    for (pid_t pid : pids_) {
-      if (pid > 0) waitpid(pid, nullptr, 0);
-    }
-  }
-
-  void StartSite(int site, uint64_t crash_after = 0) {
-    int fds[2];
-    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      close(fds[0]);
-      for (int fd : parent_fds_) close(fd);
-      SiteRuntime::Config config;
-      config.options = options_;
-      config.site = site;
-      config.snapshot_dir = snapshot_dir_;
-      config.crash_after = crash_after;
-      config.connected_fd = fds[1];
-      SiteRuntime runtime(config);
-      _exit(runtime.Run());
-    }
-    close(fds[1]);
-    parent_fds_.push_back(fds[0]);
-    coordinator_.AdoptConnection(fds[0]);
-    if (static_cast<size_t>(site) >= pids_.size()) {
-      pids_.resize(static_cast<size_t>(site) + 1, -1);
-    }
-    pids_[static_cast<size_t>(site)] = pid;
-  }
-
-  /// Pumps until the crash-armed site dies; expects the deterministic
-  /// crash code.
-  void AwaitCrash(int site) {
-    pid_t pid = pids_[static_cast<size_t>(site)];
-    int status = 0;
-    bool exited = false;
-    for (int i = 0; i < 20000 && !exited; ++i) {
-      exited = waitpid(pid, &status, WNOHANG) == pid;
-      if (!exited) coordinator_.PollOnce(5);
-    }
-    ASSERT_TRUE(exited) << "armed site never crashed";
-    ASSERT_TRUE(WIFEXITED(status));
-    ASSERT_EQ(WEXITSTATUS(status), 7);
-    pids_[static_cast<size_t>(site)] = -1;
-    // Drain the dead connection's EOF so the session is marked down
-    // before the replacement joins.
-    for (int i = 0; i < 50; ++i) coordinator_.PollOnce(5);
-  }
-
-  template <typename Predicate>
-  bool PumpUntil(Predicate done, int max_rounds = 20000) {
-    for (int i = 0; i < max_rounds; ++i) {
-      if (done()) return true;
-      EXPECT_GE(coordinator_.PollOnce(5), 0);
-    }
-    return done();
-  }
-
-  Coordinator& coordinator() { return coordinator_; }
-  const std::string& snapshot_dir() const { return snapshot_dir_; }
-
- private:
-  ServiceOptions options_;
-  Coordinator coordinator_;
-  std::string snapshot_dir_;
-  std::vector<int> parent_fds_;
-  std::vector<pid_t> pids_;
-};
-
-Message Ask(const Coordinator& coordinator, uint64_t kind, uint64_t b = 0) {
-  Message query;
-  query.type = MsgType::kQuery;
-  query.a = kind;
-  query.b = b;
-  return coordinator.Query(query);
-}
+using namespace fleet_test;  // NOLINT(build/namespaces)
 
 ServiceOptions SmallCountFleet(uint64_t snapshot_every) {
   ServiceOptions options;
@@ -199,7 +78,7 @@ enum class CrashPoint {
 /// arrivals, recovers it, and pins bit-identity + paper-ledger equality.
 void RunCountCrash(const ServiceOptions& options, uint64_t crash_after,
                    CrashPoint point = CrashPoint::kMidRun) {
-  RecoveryFleet fleet(options);
+  ForkedFleet fleet(options, /*snapshots=*/true);
   for (int site = 0; site < 4; ++site) {
     fleet.StartSite(site, site == 2 ? crash_after : 0);
   }
@@ -220,8 +99,7 @@ void RunCountCrash(const ServiceOptions& options, uint64_t crash_after,
     EXPECT_EQ(granted_past_crash(), 3u) << "rotation passed the dead site";
   }
   fleet.StartSite(2);  // replacement: resumes from snapshot if present
-  ASSERT_TRUE(fleet.PumpUntil(
-      [&] { return fleet.coordinator().AllSitesDone(); }, 200000));
+  ASSERT_TRUE(fleet.RunToCompletion());
 
   const Coordinator::Stats& stats = fleet.coordinator().stats();
   EXPECT_EQ(stats.rejoins, 1u);
@@ -332,14 +210,13 @@ TEST(ServiceRecovery, RankSiteRecoversMidRun) {
   options.total_arrivals = 6000;
   options.grant_max = 256;
   options.snapshot_every = 256;
-  RecoveryFleet fleet(options);
+  ForkedFleet fleet(options, /*snapshots=*/true);
   for (int site = 0; site < 4; ++site) {
     fleet.StartSite(site, site == 1 ? 900 : 0);
   }
   fleet.AwaitCrash(1);
   fleet.StartSite(1);
-  ASSERT_TRUE(
-      fleet.PumpUntil([&] { return fleet.coordinator().AllSitesDone(); }));
+  ASSERT_TRUE(fleet.RunToCompletion());
 
   Message journal = Ask(fleet.coordinator(), kQueryJournal);
   rank::RandomizedRankTracker serial(options.RankOptions());

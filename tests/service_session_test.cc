@@ -1,34 +1,19 @@
-// Coordinator + site processes end to end, in miniature: the parent runs
-// a steppable Coordinator (AdoptConnection + PollOnce — no listener, no
-// daemon loop) and each site is a real fork()ed SiteRuntime on one end of
-// a socketpair. Pins the service protocol proper: join handshake, grant
-// admission, blocking broadcast decisions, queries over the wire, the
-// §1.1 paper ledger reconciling with a serial CommMeter to the message,
-// and the wire-byte ledger (socket bytes == encoded frame bytes).
-//
-// Fork-without-exec is deliberate (no binary paths to plumb); the whole
-// file is skipped under TSan, which cannot follow multiprocess tests.
+// Coordinator + site processes end to end, in miniature: a steppable
+// Coordinator and a real fork()ed SiteRuntime per site (service_fleet.h).
+// Pins the service protocol proper: join handshake, grant admission,
+// blocking broadcast decisions, queries over the wire, the §1.1 paper
+// ledger reconciling with a serial CommMeter to the message, the
+// wire-byte ledger (socket bytes == encoded frame bytes), hostile frames
+// and SIGTERM.
 
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
+#include <errno.h>
 
-#include <algorithm>
-#include <cstring>
 #include <memory>
-#include <string>
-#include <vector>
-
-#include <gtest/gtest.h>
 
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
-#include "disttrack/service/coordinator.h"
-#include "disttrack/service/options.h"
-#include "disttrack/service/site_runtime.h"
-#include "disttrack/sim/wire.h"
+#include "tests/service_fleet.h"
 
 namespace disttrack {
 namespace service {
@@ -36,156 +21,10 @@ namespace {
 
 using sim::wire::Message;
 using sim::wire::MsgType;
-
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DISTTRACK_TSAN 1
-#endif
-#endif
-
-#ifndef DISTTRACK_TSAN
-#define DISTTRACK_TSAN 0
-#endif
-
-uint64_t Bits(double d) {
-  uint64_t bits = 0;
-  memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-/// A fleet of fork()ed sites wired to an in-process coordinator.
-class Fleet {
- public:
-  explicit Fleet(const ServiceOptions& options)
-      : options_(options), coordinator_(options) {}
-
-  ~Fleet() {
-    for (pid_t pid : pids_) {
-      if (pid > 0) kill(pid, SIGKILL);
-    }
-    for (pid_t pid : pids_) {
-      if (pid > 0) waitpid(pid, nullptr, 0);
-    }
-  }
-
-  /// Forks one site; the child never returns. `snapshot_dir` and
-  /// `crash_after` plumb straight into SiteRuntime::Config.
-  void StartSite(int site, const std::string& snapshot_dir = "",
-                 uint64_t crash_after = 0) {
-    int fds[2];
-    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      // The child owns fds[1] only: close the parent end plus every fd
-      // inherited from earlier sites, or their EOFs would never fire.
-      close(fds[0]);
-      for (int fd : parent_fds_) close(fd);
-      SiteRuntime::Config config;
-      config.options = options_;
-      config.site = site;
-      config.snapshot_dir = snapshot_dir;
-      config.crash_after = crash_after;
-      config.connected_fd = fds[1];
-      SiteRuntime runtime(config);
-      _exit(runtime.Run());
-    }
-    close(fds[1]);
-    parent_fds_.push_back(fds[0]);
-    coordinator_.AdoptConnection(fds[0]);
-    if (static_cast<size_t>(site) >= pids_.size()) {
-      pids_.resize(static_cast<size_t>(site) + 1, -1);
-    }
-    pids_[static_cast<size_t>(site)] = pid;
-  }
-
-  /// Pumps the event loop until `done()` or the deadline trips.
-  template <typename Predicate>
-  bool PumpUntil(Predicate done, int max_rounds = 20000) {
-    for (int i = 0; i < max_rounds; ++i) {
-      if (done()) return true;
-      EXPECT_GE(coordinator_.PollOnce(5), 0);
-    }
-    return done();
-  }
-
-  /// Waits for `site`'s process to exit; returns its exit code (pumping
-  /// the coordinator so the fleet keeps making progress meanwhile).
-  int AwaitExit(int site) {
-    pid_t pid = pids_[static_cast<size_t>(site)];
-    int status = 0;
-    for (int i = 0; i < 20000; ++i) {
-      pid_t r = waitpid(pid, &status, WNOHANG);
-      if (r == pid) {
-        pids_[static_cast<size_t>(site)] = -1;
-        return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-      }
-      coordinator_.PollOnce(5);
-    }
-    return -2;  // never exited
-  }
-
-  void ShutdownAndReap() {
-    // A client connection delivers kShutdown, like the real daemon.
-    int fds[2];
-    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    coordinator_.AdoptConnection(fds[0]);
-    parent_fds_.push_back(fds[0]);
-    Message bye;
-    bye.type = MsgType::kShutdown;
-    std::vector<uint8_t> frame;
-    sim::wire::EncodeFrame(bye, 0, &frame);
-    ASSERT_TRUE(WriteAll(fds[1], frame.data(), frame.size()));
-    close(fds[1]);
-    ASSERT_TRUE(PumpUntil([&] { return coordinator_.ShutdownComplete(); }));
-    for (size_t site = 0; site < pids_.size(); ++site) {
-      if (pids_[site] < 0) continue;
-      EXPECT_EQ(AwaitExit(static_cast<int>(site)), 0) << "site " << site;
-    }
-  }
-
-  Coordinator& coordinator() { return coordinator_; }
-
- private:
-  ServiceOptions options_;
-  Coordinator coordinator_;
-  std::vector<int> parent_fds_;
-  std::vector<pid_t> pids_;
-};
-
-Message Ask(const Coordinator& coordinator, uint64_t kind, uint64_t b = 0) {
-  Message query;
-  query.type = MsgType::kQuery;
-  query.a = kind;
-  query.b = b;
-  return coordinator.Query(query);
-}
+using namespace fleet_test;  // NOLINT(build/namespaces)
 
 std::vector<uint64_t> StatsVector(const Coordinator& coordinator) {
   return Ask(coordinator, kQueryStats).values;
-}
-
-/// The lockstep journal as a pure function of the options: strict site
-/// rotation, each grant min(grant_max, what is left of the site's shard),
-/// as site/length pairs (the kQueryJournal layout).
-std::vector<uint64_t> ExpectedRotation(const ServiceOptions& options) {
-  std::vector<uint64_t> left;
-  for (int site = 0; site < options.num_sites; ++site) {
-    left.push_back(ShardSize(options, site));
-  }
-  std::vector<uint64_t> journal;
-  for (bool any = true; any;) {
-    any = false;
-    for (size_t site = 0; site < left.size(); ++site) {
-      if (left[site] == 0) continue;
-      uint64_t length = std::min(left[site], options.grant_max);
-      journal.push_back(site);
-      journal.push_back(length);
-      left[site] -= length;
-      any = true;
-    }
-  }
-  return journal;
 }
 
 /// Runs a lockstep count fleet to completion and pins it to the serial
@@ -195,10 +34,9 @@ std::vector<uint64_t> ExpectedRotation(const ServiceOptions& options) {
 /// grants did overlap, and the grants run alone (exclusive) are exactly
 /// the ones whose serial replay broadcasts.
 void ExpectLockstepCountMatchesSerial(const ServiceOptions& options) {
-  Fleet fleet(options);
-  for (int site = 0; site < options.num_sites; ++site) fleet.StartSite(site);
-  ASSERT_TRUE(fleet.PumpUntil(
-      [&] { return fleet.coordinator().AllSitesDone(); }, 200000));
+  ForkedFleet fleet(options);
+  fleet.StartAll();
+  ASSERT_TRUE(fleet.RunToCompletion());
 
   Message journal = Ask(fleet.coordinator(), kQueryJournal);
   EXPECT_EQ(journal.values, ExpectedRotation(options));
@@ -278,10 +116,9 @@ TEST(ServiceSession, LockstepRankFleetMatchesSerialBitForBit) {
   options.epsilon = 0.01;
   options.total_arrivals = 400000;
   options.grant_max = 2048;
-  Fleet fleet(options);
-  for (int site = 0; site < options.num_sites; ++site) fleet.StartSite(site);
-  ASSERT_TRUE(fleet.PumpUntil(
-      [&] { return fleet.coordinator().AllSitesDone(); }, 200000));
+  ForkedFleet fleet(options);
+  fleet.StartAll();
+  ASSERT_TRUE(fleet.RunToCompletion());
 
   Message journal = Ask(fleet.coordinator(), kQueryJournal);
   EXPECT_EQ(journal.values, ExpectedRotation(options));
@@ -335,13 +172,12 @@ TEST(ServiceSession, SameOptionsGiveTheSameJournalAndLedger) {
   std::vector<uint64_t> ledgers[2];
   std::vector<uint64_t> journals[2];
   for (int run = 0; run < 2; ++run) {
-    Fleet fleet(options);
+    ForkedFleet fleet(options);
     // Join in opposite orders: the rotation must not care.
     for (int i = 0; i < options.num_sites; ++i) {
       fleet.StartSite(run == 0 ? i : options.num_sites - 1 - i);
     }
-    ASSERT_TRUE(fleet.PumpUntil(
-        [&] { return fleet.coordinator().AllSitesDone(); }, 200000));
+    ASSERT_TRUE(fleet.RunToCompletion());
     const Coordinator::Stats& stats = fleet.coordinator().stats();
     ledgers[run] = {stats.paper_messages, stats.paper_words,
                     stats.broadcasts, stats.exclusive_grants,
@@ -361,10 +197,9 @@ TEST(ServiceSession, FrequencyQueriesOverTheFleet) {
   options.num_sites = 4;
   options.total_arrivals = 8000;
   options.grant_max = 512;
-  Fleet fleet(options);
-  for (int site = 0; site < options.num_sites; ++site) fleet.StartSite(site);
-  ASSERT_TRUE(
-      fleet.PumpUntil([&] { return fleet.coordinator().AllSitesDone(); }));
+  ForkedFleet fleet(options);
+  fleet.StartAll();
+  ASSERT_TRUE(fleet.RunToCompletion());
 
   Message journal = Ask(fleet.coordinator(), kQueryJournal);
   frequency::RandomizedFrequencyTracker serial(options.FrequencyOptions());
@@ -396,10 +231,9 @@ TEST(ServiceSession, FreerunFleetCompletesWithinEpsilon) {
   options.num_sites = 4;
   options.total_arrivals = 6000;
   options.grant_max = 256;
-  Fleet fleet(options);
-  for (int site = 0; site < options.num_sites; ++site) fleet.StartSite(site);
-  ASSERT_TRUE(
-      fleet.PumpUntil([&] { return fleet.coordinator().AllSitesDone(); }));
+  ForkedFleet fleet(options);
+  fleet.StartAll();
+  ASSERT_TRUE(fleet.RunToCompletion());
   Message estimate = Ask(fleet.coordinator(), kQueryCount);
   double est = 0;
   uint64_t bits = estimate.values[0];
@@ -414,7 +248,7 @@ TEST(ServiceSession, MismatchedOptionsHashIsRejected) {
   ServiceOptions options;
   options.num_sites = 2;
   options.total_arrivals = 100;
-  Fleet fleet(options);
+  ForkedFleet fleet(options);
   // Site 0 joins with a different epsilon: kJoin carries the fleet hash
   // and the coordinator must turn it away (exit code 2).
   ServiceOptions wrong = options;
@@ -479,6 +313,137 @@ TEST(ServiceSession, SiteIsDoneOnlyAfterAckingEveryBroadcast) {
   EXPECT_TRUE(coordinator.AllSitesDone());
   EXPECT_EQ(StatsVector(coordinator)[0], 1u);
   close(fds[1]);
+}
+
+TEST(ServiceSession, FrameNamingAnotherSiteClosesTheConnection) {
+  // A joined site's CRC-valid report naming another site must not reach
+  // the replica (it would overwrite that site's report slot, or index
+  // out of range): the coordinator closes the connection instead.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kCount;
+  options.num_sites = 2;
+  Coordinator coordinator(options);
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  coordinator.AdoptConnection(fds[0]);
+  std::vector<uint8_t> out;
+  Message join;
+  join.type = MsgType::kJoin;
+  join.site = 0;
+  join.b = options.Hash();
+  sim::wire::EncodeFrame(join, 0, &out);
+  Message hello;
+  hello.type = MsgType::kHello;
+  hello.site = 0;
+  hello.a = 1;
+  sim::wire::EncodeFrame(hello, 0, &out);
+  Message report;
+  report.type = MsgType::kCoinReport;
+  report.site = 1;  // joined as site 0
+  report.a = 12345;
+  report.paper_words = 1;
+  sim::wire::EncodeFrame(report, 1, &out);
+  ASSERT_TRUE(WriteAll(fds[1], out.data(), out.size()));
+  for (int i = 0; i < 5; ++i) coordinator.PollOnce(1);
+
+  Message estimate = Ask(coordinator, kQueryCount);
+  EXPECT_EQ(estimate.values[0], Bits(0.0)) << "the foreign report landed";
+  EXPECT_EQ(coordinator.stats().paper_messages, 0u);
+  // The coordinator hung up (what it had staged for the connection went
+  // with it).
+  SetNonBlocking(fds[1], true);
+  uint8_t buf[4096];
+  long n = 0;
+  while ((n = ReadSome(fds[1], buf, sizeof(buf))) > 0) {
+  }
+  EXPECT_EQ(n, 0) << "connection still open after a foreign-site frame";
+  close(fds[1]);
+}
+
+/// A coordinator daemon in a child process, listening on `endpoint`;
+/// returns RunUntilShutdown's exit code.
+int RunCoordinatorDaemon(const ServiceOptions& options,
+                         const Endpoint& endpoint) {
+  Coordinator coordinator(options);
+  std::string error;
+  if (!coordinator.AddListener(endpoint, &error)) return 1;
+  return coordinator.RunUntilShutdown();
+}
+
+TEST(ServiceSession, SigtermDrainsTheFleetAndExitsZero) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  // SIGTERM takes the path of a client kShutdown: fan out, drain, exit 0.
+  // A site exits 0 only on kShutdown (a dropped connection is exit 3).
+  ServiceOptions options;
+  options.tracker = TrackerKind::kCount;
+  options.num_sites = 3;
+  options.total_arrivals = 6000;
+  options.grant_max = 256;
+  char tmpl[] = "/tmp/disttrack_sigterm_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  Endpoint endpoint;
+  std::string error;
+  ASSERT_TRUE(Endpoint::Parse(std::string("unix:") + tmpl + "/coord.sock",
+                              &endpoint, &error))
+      << error;
+
+  pid_t coordinator = fork();
+  ASSERT_GE(coordinator, 0);
+  if (coordinator == 0) _exit(RunCoordinatorDaemon(options, endpoint));
+  std::vector<pid_t> sites;
+  for (int site = 0; site < options.num_sites; ++site) {
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      SiteRuntime::Config config;
+      config.options = options;
+      config.site = site;
+      config.endpoint = endpoint;
+      SiteRuntime runtime(config);
+      _exit(runtime.Run());
+    }
+    sites.push_back(pid);
+  }
+
+  // A query client waits for every site to settle.
+  int client = Dial(endpoint, 10000, &error);
+  ASSERT_GE(client, 0) << error;
+  FrameReader reader;
+  uint64_t sites_done = 0;
+  for (int attempt = 0; attempt < 2000 && sites_done < 3; ++attempt) {
+    Message query;
+    query.type = MsgType::kQuery;
+    query.a = kQueryStats;
+    std::vector<uint8_t> frame;
+    sim::wire::EncodeFrame(query, 0, &frame);
+    ASSERT_TRUE(WriteAll(client, frame.data(), frame.size()));
+    Message answer;
+    uint64_t seq = 0;
+    while (reader.Next(&answer, &seq) != FrameReader::Result::kFrame) {
+      uint8_t buf[4096];
+      long n = ReadSome(client, buf, sizeof(buf));
+      ASSERT_GT(n, 0) << "coordinator hung up on the client";
+      reader.Append(buf, static_cast<size_t>(n));
+    }
+    sites_done = answer.values[0];
+    if (sites_done < 3) usleep(5000);
+  }
+  ASSERT_EQ(sites_done, 3u);
+
+  ASSERT_EQ(kill(coordinator, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(waitpid(coordinator, &status, 0), coordinator);
+  ASSERT_TRUE(WIFEXITED(status)) << "coordinator died by a signal";
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  for (size_t site = 0; site < sites.size(); ++site) {
+    ASSERT_EQ(waitpid(sites[site], &status, 0), sites[site]);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "site " << site
+                                      << " did not see kShutdown";
+  }
+  close(client);
+  unlink((std::string(tmpl) + "/coord.sock").c_str());
+  rmdir(tmpl);
 }
 
 }  // namespace

@@ -368,7 +368,7 @@ TEST(SkipEquivalenceTest, CountReplayRunMatchesPerArrivalReplay) {
     for (int r = 0; done < kArrivals; ++r) {
       uint64_t len = std::min(chunk, kArrivals - done);
       for (uint64_t i = 0; i < len; ++i) {
-        scalar.ReplayCrashArrive(kSite, nullptr);
+        scalar.ReplayCrashArrive(kSite);
       }
       ASSERT_EQ(run.ReplayCrashRun(kSite, len), len);
       done += len;
@@ -405,7 +405,7 @@ TEST(SkipEquivalenceTest, CountReplayRunStopsAfterTheLatchingEvent) {
   uint64_t scalar_absorbed = 0;
   while (scalar_tap.frames().size() < kLatchFrame) {
     ASSERT_LT(scalar_absorbed, kArrivals) << "too few events to latch";
-    scalar.ReplayCrashArrive(kSite, nullptr);
+    scalar.ReplayCrashArrive(kSite);
     ++scalar_absorbed;
   }
   uint64_t absorbed = run.ReplayCrashRun(kSite, kArrivals, [&] {
