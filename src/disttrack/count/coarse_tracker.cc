@@ -70,8 +70,8 @@ uint64_t CoarseTracker::ArriveLocal(int site) {
 
 void CoarseTracker::ApplyDeferredReport(int site, uint64_t delta) {
   // disttrack-lint: allow(meter-tap) -- shard-fold bookkeeping: taps are
-  // only installed by the serial runtimes (robust cluster, service site
-  // half), never on the sharded replay path that produces deferred
+  // only installed on scalar paths (a service site half, a serial
+  // replay), never on the sharded replay path that produces deferred
   // reports, so this charge has no frame to pair with.
   meter_->RecordUpload(site, 1);
   n_prime_ += delta;

@@ -922,7 +922,7 @@ bool RandomizedRankTracker::SiteSnapshotReady(int site) const {
   // live nodes, no unpulled ladder data, no armed leaf seed — the site's
   // whole private state is the round parameters, the coarse counters,
   // and the RNG/skip streams. `run` holds batch-engine carry that only
-  // exists mid-ArriveBatch; the robust driver feeds scalar arrivals.
+  // exists mid-ArriveBatch; a service site half feeds scalar arrivals.
   return s.arrivals_in_chunk == 0 && s.run.empty();
 }
 
